@@ -28,6 +28,7 @@ from .data import (
     DataError,
     SPLIT_NAMES,
     SyntheticSpec,
+    _check_finite_cells,
     load_csv,
     normalize_dataset,
     split_dataset,
@@ -387,6 +388,7 @@ def cmd_describe(args):
             raise DataError(f"line {i + 2}: {exc}") from None
     A = np.asarray(feats)
     y = np.asarray(labels)
+    _check_finite_cells(rows, header, feat_idx, label_idx, A, y)
     values, counts = np.unique(y, return_counts=True)
     task = "classification" if values.size == 2 else "regression"
     norms = np.sqrt((A * A).sum(axis=0))

@@ -281,6 +281,25 @@ def _parse_cell(tok, line_no, col_name):
         ) from None
 
 
+def _check_finite_cells(rows, header, feat_idx, label_idx, A, y):
+    """Raise DataError at the first non-finite cell of a parsed CSV table.
+
+    ``A[i, c]`` was parsed from ``rows[i + 1][feat_idx[c]]`` and ``y[i]``
+    from ``rows[i + 1][label_idx]`` (row 0 is the header).  The cell is
+    located only on failure, so a valid table costs one vectorised test.
+    """
+    if np.isfinite(A).all() and np.isfinite(y).all():
+        return
+    bad = ~np.isfinite(np.column_stack((A, y)))
+    columns = feat_idx + [label_idx]
+    i = int(np.flatnonzero(bad.any(axis=1))[0])
+    j = min(columns[c] for c in np.flatnonzero(bad[i]))
+    raise DataError(
+        f"line {i + 2}, column {header[j]!r}: "
+        f"non-finite value {rows[i + 1][j].strip()!r}"
+    )
+
+
 def load_csv(path, label_column, task, split_column="split"):
     """Read a header + numeric-rows CSV into a Dataset.
 
@@ -291,8 +310,9 @@ def load_csv(path, label_column, task, split_column="split"):
     numeric values; the one whose first-seen text is lexicographically
     smaller maps to -1.
 
-    Raises DataError with a line number for ragged rows, non-numeric
-    cells, bad split labels, or a label-class count other than two.
+    Raises DataError with a line number for ragged rows, non-numeric or
+    non-finite cells, bad split labels, or a label-class count other than
+    two.
     """
     if task not in ("regression", "classification"):
         raise DataError(f"unknown task {task!r}")
@@ -343,16 +363,12 @@ def load_csv(path, label_column, task, split_column="split"):
             split_vals.append(cells[split_idx])
 
     A = np.asarray(A_rows)
-    if task == "regression":
-        y = np.asarray(
-            [_parse_cell(tok, ln, label_column) for tok, ln in y_raw]
-        )
-    else:
+    y = np.asarray([_parse_cell(tok, ln, label_column) for tok, ln in y_raw])
+    _check_finite_cells(rows, header, feat_idx, label_idx, A, y)
+    if task == "classification":
         # key classes by numeric value; remember first-seen text and line
         classes = {}
-        vals = []
-        for tok, ln in y_raw:
-            v = _parse_cell(tok, ln, label_column)
+        for (tok, ln), v in zip(y_raw, y.tolist()):
             if v not in classes:
                 if len(classes) == 2:
                     seen = sorted(c[0] for c in classes.values())
@@ -361,14 +377,13 @@ def load_csv(path, label_column, task, split_column="split"):
                         f"classification (had {seen}, then {tok!r})"
                     )
                 classes[v] = (tok, ln)
-            vals.append(v)
         if len(classes) < 2:
             raise DataError(
                 "classification needs exactly two distinct label values, "
                 f"found {len(classes)}"
             )
         lo, hi = sorted(classes, key=lambda v: classes[v][0])
-        y = np.where(np.asarray(vals) == lo, -1.0, 1.0)
+        y = np.where(y == lo, -1.0, 1.0)
 
     split = np.asarray(split_vals) if split_idx is not None else None
     names = tuple(header[j] for j in feat_idx)

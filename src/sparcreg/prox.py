@@ -120,20 +120,14 @@ def owl_weights(lam1, lam2, d):
     return lam1 + lam2 * np.arange(d - 1, -1, -1, dtype=float)
 
 
-def isotonic_decreasing(u):
-    """Euclidean projection onto the cone of non-increasing sequences.
+def _pava(u):
+    """Pool-adjacent-violators on a 1-D float array, without checks.
 
-    Pool-adjacent-violators: scan left to right keeping a stack of blocks
-    (sum, width); while the newest block's mean is at least its predecessor's,
-    merge the two; finally expand each block to its mean.
+    Scan left to right keeping a stack of blocks (sum, width); while the
+    newest block's mean is at least its predecessor's, merge the two; finally
+    expand each block to its mean.  Ties pool, so even a feasible input can
+    come back changed in the last bit.
     """
-    u = _as_vector(u, "u")
-    n = u.size
-    if n <= 1:
-        return u.copy()
-    diffs = np.diff(u)
-    if np.all(diffs <= 0):  # already feasible, common fast path
-        return u.copy()
     sums = []
     widths = []
     for x in u.tolist():
@@ -145,12 +139,28 @@ def isotonic_decreasing(u):
             w = widths.pop()
             sums[-1] += s
             widths[-1] += w
-    out = np.empty(n)
+    out = np.empty(u.size)
     pos = 0
     for s, w in zip(sums, widths):
         out[pos:pos + w] = s / w
         pos += w
     return out
+
+
+def _is_non_increasing(u):
+    return u.size <= 1 or bool(np.all(np.diff(u) <= 0))
+
+
+def isotonic_decreasing(u):
+    """Euclidean projection onto the cone of non-increasing sequences.
+
+    Pool-adjacent-violators; an input that is already non-increasing is
+    returned as a copy.
+    """
+    u = _as_vector(u, "u")
+    if _is_non_increasing(u):
+        return u.copy()
+    return _pava(u)
 
 
 def prox_oscar(v, lam1, lam2):
@@ -166,17 +176,33 @@ def prox_oscar(v, lam1, lam2):
     p = view.magnitudes.size
     if p == 0:
         return np.asarray(v, dtype=float).copy()
-    w = owl_weights(lam1, lam2, p)
-    pooled = isotonic_decreasing(view.magnitudes - w)
-    return view.reconstruct(np.maximum(pooled, 0.0))
+    u = view.magnitudes - owl_weights(lam1, lam2, p)
+    if not _is_non_increasing(u):
+        # Entries after the last positive one pool only into blocks whose
+        # mean is <= 0, which never merge into a positive block and clip to
+        # zero anyway, so PAVA runs on the prefix up to that entry alone.
+        # Feasibility is tested on the whole of u: PAVA pools ties, so it
+        # may change a feasible prefix in the last bit.
+        positive = np.flatnonzero(u > 0)
+        m = positive[-1] + 1 if positive.size else 0
+        u[:m] = _pava(u[:m])
+        u[m:] = 0.0
+    return view.reconstruct(np.maximum(u, 0.0))
 
 
 def top_k_support(v, k):
     """Indices (ascending) of the k largest entries of |v|; ties keep lower index."""
     v = _as_vector(v)
     k = _check_k(k, v.size)
-    order = np.argsort(-np.abs(v), kind="stable")
-    return np.sort(order[:k])
+    mags = np.abs(v)
+    t = np.partition(mags, v.size - k)[v.size - k]  # k-th largest magnitude
+    keep = mags >= t
+    extra = np.count_nonzero(keep) - k
+    if extra:
+        # more than k at or above t: drop the highest-index ties at t, as a
+        # stable sort would
+        keep[np.flatnonzero(mags == t)[-extra:]] = False
+    return np.flatnonzero(keep)
 
 
 def project_k_sparse(v, k):

@@ -9,7 +9,10 @@ factor eta until the candidate satisfies the sufficient-decrease test
 
     F(x_{t+1}) <= F(x_t) - (sigma * alpha_t / 2) * ||x_{t+1} - x_t||^2.
 
-A^T A is never formed; products go through A and A^T only.
+A^T A is never formed; products go through A and A^T only.  The residual
+A x - y of each candidate gives both its objective value and, once it is
+accepted, the next gradient, so an outer iteration costs one product with
+A per candidate, one with A^T, and one with A for the BB step.
 """
 
 from __future__ import annotations
@@ -98,16 +101,20 @@ class SolverResult:
     x: np.ndarray
     trace: np.ndarray          # objective value after each accepted step
     iterations: int            # accepted outer steps, == trace.size
-    termination: str           # "tolerance" or "max-iterations"
+    termination: str           # "tolerance", "max-iterations" or "line-search-cap"
     inner_cap_hit: bool = field(default=False)
     alpha_final: float = field(default=float("nan"))
 
 
 def objective_value(obj, x):
     """F(x) = 0.5*||A x - y||^2 + penalty(x)."""
-    x = _as_vector(x, "x")
+    return _residual_and_objective(obj, _as_vector(x, "x"))[1]
+
+
+def _residual_and_objective(obj, x):
+    """Residual A x - y and F(x), sharing one product with A; x is unchecked."""
     r = obj.A @ x - obj.y
-    return 0.5 * float(r @ r) + penalty_value(obj.reg, x)
+    return r, 0.5 * float(r @ r) + penalty_value(obj.reg, x)
 
 
 def gradient_smooth(obj, x):
@@ -158,18 +165,18 @@ def sparsa_solve(obj, x0=None, config=None):
     """
     cfg = config if config is not None else SolverConfig()
     x = _initial_point(obj, x0)
-    f_x = objective_value(obj, x)
+    r, f_x = _residual_and_objective(obj, x)
     if not np.isfinite(f_x):
         raise SolverDivergenceError(f"objective at start is {f_x}")
 
-    grad = gradient_smooth(obj, x)
+    grad = obj.A.T @ r
     alpha = cfg.alpha_min
     x_new = prox(obj.reg, x - grad / alpha, alpha)
-    f_new = objective_value(obj, x_new)
+    r_new, f_new = _residual_and_objective(obj, x_new)
     if not (np.isfinite(x_new).all() and np.isfinite(f_new)):
         raise SolverDivergenceError("first step produced non-finite values")
     x_prev, f_prev = x, f_x
-    x, f_x = x_new, f_new
+    x, f_x, r = x_new, f_new, r_new
     trace = [f_x]
     termination = "max-iterations"
     inner_cap_hit = False
@@ -180,14 +187,15 @@ def sparsa_solve(obj, x0=None, config=None):
             # the last step moved nowhere: fixed point reached
             termination = "tolerance"
             break
+        # A s, not r - r_prev: the difference rounds differently and moves alpha
         alpha = min(max(bb_step(s, obj.A), cfg.alpha_min), cfg.alpha_max)
-        grad = gradient_smooth(obj, x)
+        grad = obj.A.T @ r
 
         accepted = False
         best_x, best_f = None, np.inf
         for _ in range(cfg.max_inner):
             x_cand = prox(obj.reg, x - grad / alpha, alpha)
-            f_cand = objective_value(obj, x_cand)
+            r_cand, f_cand = _residual_and_objective(obj, x_cand)
             if not (np.isfinite(x_cand).all() and np.isfinite(f_cand)):
                 raise SolverDivergenceError(
                     "iterate became non-finite during backtracking"
@@ -212,11 +220,11 @@ def sparsa_solve(obj, x0=None, config=None):
                 x_prev, f_prev = x, f_x
                 x, f_x = best_x, best_f
                 trace.append(f_x)
-            termination = "tolerance"
+            termination = "line-search-cap"
             break
 
         x_prev, f_prev = x, f_x
-        x, f_x = x_cand, f_cand
+        x, f_x, r = x_cand, f_cand, r_cand
         trace.append(f_x)
 
         denom = max(abs(f_prev), 1.0)

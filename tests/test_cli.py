@@ -307,6 +307,20 @@ class TestDescribe:
         assert "class 1: 2 rows" in out
         assert "split train: 2 rows" in out
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,label\n1,2,0.5\n3,inf,1.5\n",
+         "line 3, column 'b': non-finite value 'inf'"),
+        ("a,b,label\n1,2,nan\n3,4,1.5\n",
+         "line 2, column 'label': non-finite value 'nan'"),
+    ], ids=["feature", "label"])
+    def test_non_finite_cell_rejected(self, capsys, tmp_path, text, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "describe", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "describe", str(tmp_path / "nope.csv"))
         assert code == 1

@@ -165,6 +165,19 @@ class TestLoadCsvContract:
         with pytest.raises(DataError, match="line 3.*'b'"):
             load_csv(path, "label", "regression")
 
+    @pytest.mark.parametrize("text, task, message", [
+        ("a,b,label\n1,2,3\n1, nan ,3\n", "regression",
+         "line 3, column 'b': non-finite value 'nan'"),
+        ("a,b,label\n1,2,0\n3,4,1\n5,6,-inf\n", "classification",
+         "line 4, column 'label': non-finite value '-inf'"),
+    ], ids=["feature", "label"])
+    def test_non_finite_cell_reports_line_and_column(self, tmp_path, text,
+                                                     task, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label", task)
+        assert str(exc.value) == message
+
     def test_bad_split_label_reports_line(self, tmp_path):
         path = self._write(tmp_path,
                            "a,label,split\n1,2,train\n3,4,dev\n")

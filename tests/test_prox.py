@@ -68,6 +68,12 @@ class TestIsotonicDecreasing:
     def test_two_point_pool_is_mean(self):
         npt.assert_allclose(isotonic_decreasing([0.0, 10.0]), [5.0, 5.0])
 
+    def test_infeasible_input_pools_ties(self):
+        # the tied prefix is pooled, 0.3000...04 / 3, one ulp above 0.1
+        out = isotonic_decreasing([0.1, 0.1, 0.1, -1.0, -0.5])
+        assert out[:3].tolist() == [0.10000000000000002] * 3
+        assert out[3:].tolist() == [-0.75, -0.75]
+
     def test_already_feasible_unchanged(self):
         u = np.array([5.0, 3.0, 3.0, -1.0])
         npt.assert_array_equal(isotonic_decreasing(u), u)
@@ -87,6 +93,13 @@ class TestIsotonicDecreasing:
         assert isotonic_decreasing(u).sum() == pytest.approx(u.sum())
 
 
+def _prox_oscar_full_pava(v, lam1, lam2):
+    """prox_oscar with PAVA run over every sorted rank."""
+    view = SortedMagnitudeView.from_vector(v)
+    u = view.magnitudes - owl_weights(lam1, lam2, view.magnitudes.size)
+    return view.reconstruct(np.maximum(isotonic_decreasing(u), 0.0))
+
+
 class TestProxOscar:
     def test_pooling_example(self):
         # stationarity at a pooled pair: 2c = 3 + 2.9 - (1 + 0) -> c = 2.45
@@ -104,6 +117,31 @@ class TestProxOscar:
         npt.assert_array_equal(prox_oscar([1.0, -0.5], 10.0, 10.0),
                                [0.0, 0.0])
 
+    @pytest.mark.parametrize("v, lam1, lam2", [
+        # u = [0.1, 0.1, 0.1, -2^-60, 0]: infeasible only past the positive
+        # prefix, and PAVA pools the tied prefix to 0.10000000000000002
+        ([0.1, -0.1, 0.1, 0.0, 0.0], 0.0, 2.0 ** -60),
+        ([3.0, -1.0, 0.2, -4.0], 0.8, 0.0),          # lam2 = 0
+        ([0.0, 2.0, 0.0, -2.0, 1.0, 0.0], 0.1, 0.3),  # exact zeros and ties
+        ([1.0, -0.5, 0.25], 10.0, 10.0),              # every u <= 0
+        ([0.0, 0.0, 0.0], 0.0, 1.0),
+    ], ids=["tied-prefix", "lam2-zero", "zeros-and-ties", "all-nonpositive",
+            "all-zero"])
+    def test_matches_full_pava_bit_for_bit(self, v, lam1, lam2):
+        v = np.array(v)
+        assert (prox_oscar(v, lam1, lam2).tobytes()
+                == _prox_oscar_full_pava(v, lam1, lam2).tobytes())
+
+    def test_matches_full_pava_bit_for_bit_random(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            p = int(rng.integers(1, 30))
+            v = rng.integers(-3, 4, size=p) * float(rng.choice([1.0, 0.1]))
+            lam1 = float(rng.choice([0.0, 0.1, rng.exponential()]))
+            lam2 = float(rng.choice([0.0, 0.05, rng.exponential() / p]))
+            assert (prox_oscar(v, lam1, lam2).tobytes()
+                    == _prox_oscar_full_pava(v, lam1, lam2).tobytes())
+
     def test_magnitudes_never_grow(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -118,6 +156,21 @@ class TestTopKSupport:
 
     def test_magnitude_tie_keeps_lower_index(self):
         npt.assert_array_equal(top_k_support([2.0, -2.0, 1.0], 1), [0])
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_stable_argsort_with_boundary_ties(self, k):
+        v = np.array([1.0, -2.0, 2.0, 0.0, 1.0, -2.0, 0.0, -1.0])
+        expected = np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+        assert top_k_support(v, k).tobytes() == expected.tobytes()
+
+    def test_matches_stable_argsort_random(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            p = int(rng.integers(1, 40))
+            v = rng.integers(-4, 5, size=p).astype(float)
+            k = int(rng.integers(1, p + 1))
+            expected = np.sort(np.argsort(-np.abs(v), kind="stable")[:k])
+            assert top_k_support(v, k).tobytes() == expected.tobytes()
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

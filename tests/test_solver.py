@@ -169,6 +169,16 @@ class TestGeneralDesign:
         again = prox(reg, res.x - gradient_smooth(obj, res.x) / alpha, alpha)
         assert float(np.max(np.abs(again - res.x))) <= 1e-5 * max(1.0, float(np.max(np.abs(res.x))))
 
+    @pytest.mark.parametrize("reg", [Lasso(0.3), ElasticNet(0.2, 0.5),
+                                     Oscar(0.1, 0.05), Sparc(0.05, 4)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_trace_ends_at_objective_of_returned_x(self, reg):
+        rng = np.random.default_rng(41)
+        A, y = _random_problem(rng, 25, 12)
+        obj = Objective(A, y, reg)
+        res = sparsa_solve(obj)
+        assert res.trace[-1] == objective_value(obj, res.x)
+
     def test_warm_start_respects_sparsity_constraint(self):
         rng = np.random.default_rng(39)
         A, y = _random_problem(rng, 20, 10)
@@ -206,7 +216,7 @@ class TestTermination:
         with pytest.warns(RuntimeWarning):
             res = sparsa_solve(obj, x0=np.array([2.0, 1.0 + 1e-5]), config=cfg)
         assert res.inner_cap_hit
-        assert res.termination == "tolerance"
+        assert res.termination == "line-search-cap"
         assert np.all(np.diff(res.trace) <= 0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")

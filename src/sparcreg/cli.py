@@ -29,6 +29,7 @@ from .data import (
     SPLIT_NAMES,
     SyntheticSpec,
     _check_finite_cells,
+    _read_rows,
     load_csv,
     normalize_dataset,
     split_dataset,
@@ -212,14 +213,12 @@ def cmd_synth(args):
     cfg = _solver_config(args)
     if args.reps < 1:
         raise CliError(f"--reps must be >= 1, got {args.reps}")
-    if args.threads < 1:
-        raise CliError(f"--threads must be >= 1, got {args.threads}")
     spec = SyntheticSpec()
     grids = _grid_overrides(args, spec.p)
     report = run_repetitions(
         spec, grids, config=cfg, repetitions=args.reps,
         master_seed=args.seed, methods=methods,
-        average=args.metric_mean, threads=args.threads,
+        average=args.metric_mean,
     )
     paths = emit_table(report, args.outdir)
     if args.json:
@@ -359,9 +358,7 @@ def cmd_fit(args):
 # ------------------------------------------------------------ describe
 
 def cmd_describe(args):
-    import csv as _csv
-    with open(args.csv, newline="", encoding="utf-8") as fh:
-        rows = [r for r in _csv.reader(fh) if r]
+    rows, line_nos = _read_rows(args.csv)
     if not rows or not rows[1:]:
         raise DataError(f"{args.csv}: need a header and at least one row")
     header = [c.strip() for c in rows[0]]
@@ -374,10 +371,10 @@ def cmd_describe(args):
         raise DataError("no feature columns")
 
     labels, feats = [], []
-    for i, row in enumerate(rows[1:]):
+    for row, line_no in zip(rows[1:], line_nos[1:]):
         if len(row) != len(header):
             raise DataError(
-                f"line {i + 2}: expected {len(header)} fields, "
+                f"line {line_no}: expected {len(header)} fields, "
                 f"found {len(row)}"
             )
         cells = [c.strip() for c in row]
@@ -385,10 +382,10 @@ def cmd_describe(args):
             labels.append(float(cells[label_idx]))
             feats.append([float(cells[j]) for j in feat_idx])
         except ValueError as exc:
-            raise DataError(f"line {i + 2}: {exc}") from None
+            raise DataError(f"line {line_no}: {exc}") from None
     A = np.asarray(feats)
     y = np.asarray(labels)
-    _check_finite_cells(rows, header, feat_idx, label_idx, A, y)
+    _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
     values, counts = np.unique(y, return_counts=True)
     task = "classification" if values.size == 2 else "regression"
     norms = np.sqrt((A * A).sum(axis=0))
@@ -442,7 +439,6 @@ def build_parser():
     p.add_argument("--k-grid", help="comma-separated sparsity grid")
     p.add_argument("--metric-mean", action="store_true",
                    help="divide MAE/MSE by the test count")
-    p.add_argument("--threads", type=int, default=1)
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_synth)

@@ -281,12 +281,29 @@ def _parse_cell(tok, line_no, col_name):
         ) from None
 
 
-def _check_finite_cells(rows, header, feat_idx, label_idx, A, y):
+def _read_rows(path):
+    """The non-blank rows of a CSV file and the line number each ends on.
+
+    Line numbers are physical (1-based) lines of the file, so they stay
+    right after blank lines.
+    """
+    rows, line_nos = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row:
+                rows.append(row)
+                line_nos.append(reader.line_num)
+    return rows, line_nos
+
+
+def _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y):
     """Raise DataError at the first non-finite cell of a parsed CSV table.
 
     ``A[i, c]`` was parsed from ``rows[i + 1][feat_idx[c]]`` and ``y[i]``
-    from ``rows[i + 1][label_idx]`` (row 0 is the header).  The cell is
-    located only on failure, so a valid table costs one vectorised test.
+    from ``rows[i + 1][label_idx]`` (row 0 is the header); ``line_nos``
+    holds each row's line in the file.  The cell is located only on
+    failure, so a valid table costs one vectorised test.
     """
     if np.isfinite(A).all() and np.isfinite(y).all():
         return
@@ -295,7 +312,7 @@ def _check_finite_cells(rows, header, feat_idx, label_idx, A, y):
     i = int(np.flatnonzero(bad.any(axis=1))[0])
     j = min(columns[c] for c in np.flatnonzero(bad[i]))
     raise DataError(
-        f"line {i + 2}, column {header[j]!r}: "
+        f"line {line_nos[i + 1]}, column {header[j]!r}: "
         f"non-finite value {rows[i + 1][j].strip()!r}"
     )
 
@@ -316,9 +333,7 @@ def load_csv(path, label_column, task, split_column="split"):
     """
     if task not in ("regression", "classification"):
         raise DataError(f"unknown task {task!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]  # ignore blank lines
+    rows, line_nos = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
@@ -342,8 +357,7 @@ def load_csv(path, label_column, task, split_column="split"):
         raise DataError(f"{path}: no data rows")
 
     A_rows, y_raw, split_vals = [], [], []
-    for i, row in enumerate(rows[1:]):
-        line_no = i + 2  # header is line 1
+    for row, line_no in zip(rows[1:], line_nos[1:]):
         if len(row) != len(header):
             raise DataError(
                 f"line {line_no}: expected {len(header)} fields, "
@@ -364,7 +378,7 @@ def load_csv(path, label_column, task, split_column="split"):
 
     A = np.asarray(A_rows)
     y = np.asarray([_parse_cell(tok, ln, label_column) for tok, ln in y_raw])
-    _check_finite_cells(rows, header, feat_idx, label_idx, A, y)
+    _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
     if task == "classification":
         # key classes by numeric value; remember first-seen text and line
         classes = {}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -289,16 +288,14 @@ class BenchmarkReport:
 def run_repetitions(source, grids, config=None, repetitions=50,
                     master_seed=0, methods=METHOD_NAMES,
                     fractions=(0.5, 0.3, 0.2), normalization="l2",
-                    average=False, threads=1):
+                    average=False):
     """Run the benchmark ``repetitions`` times and aggregate test metrics.
 
     Repetition r uses seed ``master_seed + r`` to regenerate synthetic
     data (or to re-split and re-normalize a fixed Dataset source).  A
     solver failure marks that (method, repetition) cell as failed and the
     loop continues; failed cells are excluded from the mean/std but stay
-    visible in the report.  With ``threads > 1`` repetitions run
-    concurrently; results are assembled in repetition order either way,
-    so the report does not depend on the thread count.
+    visible in the report.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -310,17 +307,12 @@ def run_repetitions(source, grids, config=None, repetitions=50,
             raise ValueError(f"empty grid for method {m!r}")
     cfg = config if config is not None else SolverConfig()
 
-    def work(r):
-        return _one_repetition(
-            source, grids, cfg, methods, fractions, normalization,
-            average, master_seed + r, keep_estimates=(r == 0),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(work, range(repetitions)))
-    else:
-        reps = [work(r) for r in range(repetitions)]
+    reps = [
+        _one_repetition(source, grids, cfg, methods, fractions,
+                        normalization, average, master_seed + r,
+                        keep_estimates=(r == 0))
+        for r in range(repetitions)
+    ]
 
     task = ("classification"
             if isinstance(source, ClassificationSpec)

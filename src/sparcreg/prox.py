@@ -6,11 +6,17 @@ max penalty, Euclidean projection onto the non-increasing cone
 (pool-adjacent-violators), hard K-sparse projection, and the exact
 sort / shrink / pool proximity operators assembled from them.
 
-Every function is pure and operates on 1-D float arrays.
+Every function is pure and operates on 1-D float arrays.  The public
+functions validate their arguments and then call private kernels
+(``_soft``, ``_owl``, ``_prox_oscar``, ``_top_k``, ``_prox_sparc``) that
+assume a finite 1-D float64 vector and checked parameters; callers that
+have already validated, such as ``regularizers.prox``, call the kernels
+directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +34,28 @@ __all__ = [
 ]
 
 
+_FLOAT = np.dtype(float)
+
+
 def _as_vector(v, name="v"):
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if type(v) is np.ndarray and v.dtype is _FLOAT and v.ndim == 1:
+        arr = v  # what np.asarray(v, dtype=float) would return
+    else:
+        arr = np.asarray(v, dtype=float)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        if arr.ndim != 1:
+            raise ValueError(
+                f"{name} must be a 1-D vector, got shape {arr.shape}"
+            )
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def _check_nonneg(value, name):
     value = float(value)
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
     return value
 
@@ -80,14 +94,16 @@ class SortedMagnitudeView:
         return self.signs * out
 
 
+def _soft(v, t):
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
 def soft_threshold(v, t):
     """Componentwise soft threshold: sign(v_i) * max(|v_i| - t, 0).
 
     The proximity operator of ``t * ||.||_1``.
     """
-    v = _as_vector(v)
-    t = _check_nonneg(t, "t")
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return _soft(_as_vector(v), _check_nonneg(t, "t"))
 
 
 def prox_elastic_net(v, lam1, lam2):
@@ -98,7 +114,11 @@ def prox_elastic_net(v, lam1, lam2):
     v = _as_vector(v)
     lam1 = _check_nonneg(lam1, "lam1")
     lam2 = _check_nonneg(lam2, "lam2")
-    return soft_threshold(v, lam1) / (1.0 + lam2)
+    return _soft(v, lam1) / (1.0 + lam2)
+
+
+def _owl(lam1, lam2, d):
+    return lam1 + lam2 * np.arange(d - 1, -1, -1, dtype=float)
 
 
 def owl_weights(lam1, lam2, d):
@@ -117,7 +137,7 @@ def owl_weights(lam1, lam2, d):
     d = int(d)
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    return lam1 + lam2 * np.arange(d - 1, -1, -1, dtype=float)
+    return _owl(lam1, lam2, d)
 
 
 def _pava(u):
@@ -148,7 +168,8 @@ def _pava(u):
 
 
 def _is_non_increasing(u):
-    return u.size <= 1 or bool(np.all(np.diff(u) <= 0))
+    # equals np.all(np.diff(u) <= 0) for finite u, with fewer numpy calls
+    return u.size <= 1 or bool((u[1:] <= u[:-1]).all())
 
 
 def isotonic_decreasing(u):
@@ -163,6 +184,25 @@ def isotonic_decreasing(u):
     return _pava(u)
 
 
+def _prox_oscar(v, lam1, lam2):
+    mags = np.abs(v)
+    order = np.argsort(-mags, kind="stable")
+    u = mags[order] - _owl(lam1, lam2, v.size)
+    if not _is_non_increasing(u):
+        # Entries after the last positive one pool only into blocks whose
+        # mean is <= 0, which never merge into a positive block and clip to
+        # zero anyway, so PAVA runs on the prefix up to that entry alone.
+        # Feasibility is tested on the whole of u: PAVA pools ties, so it
+        # may change a feasible prefix in the last bit.
+        positive = (u > 0).nonzero()[0]
+        m = positive[-1] + 1 if positive.size else 0
+        u[:m] = _pava(u[:m])
+        u[m:] = 0.0
+    out = np.empty_like(u)
+    out[order] = np.maximum(u, 0.0)
+    return np.sign(v) * out
+
+
 def prox_oscar(v, lam1, lam2):
     """Exact prox of lam1*||x||_1 + lam2*sum_{i<j} max(|x_i|, |x_j|).
 
@@ -172,28 +212,11 @@ def prox_oscar(v, lam1, lam2):
     |v_i| >= |v_j| implies |out_i| >= |out_j| and sign(out_i) is either 0
     or sign(v_i).
     """
-    view = SortedMagnitudeView.from_vector(v)
-    p = view.magnitudes.size
-    if p == 0:
-        return np.asarray(v, dtype=float).copy()
-    u = view.magnitudes - owl_weights(lam1, lam2, p)
-    if not _is_non_increasing(u):
-        # Entries after the last positive one pool only into blocks whose
-        # mean is <= 0, which never merge into a positive block and clip to
-        # zero anyway, so PAVA runs on the prefix up to that entry alone.
-        # Feasibility is tested on the whole of u: PAVA pools ties, so it
-        # may change a feasible prefix in the last bit.
-        positive = np.flatnonzero(u > 0)
-        m = positive[-1] + 1 if positive.size else 0
-        u[:m] = _pava(u[:m])
-        u[m:] = 0.0
-    return view.reconstruct(np.maximum(u, 0.0))
+    return _prox_oscar(_as_vector(v), _check_nonneg(lam1, "lam1"),
+                       _check_nonneg(lam2, "lam2"))
 
 
-def top_k_support(v, k):
-    """Indices (ascending) of the k largest entries of |v|; ties keep lower index."""
-    v = _as_vector(v)
-    k = _check_k(k, v.size)
+def _top_k(v, k):
     mags = np.abs(v)
     t = np.partition(mags, v.size - k)[v.size - k]  # k-th largest magnitude
     keep = mags >= t
@@ -201,16 +224,29 @@ def top_k_support(v, k):
     if extra:
         # more than k at or above t: drop the highest-index ties at t, as a
         # stable sort would
-        keep[np.flatnonzero(mags == t)[-extra:]] = False
-    return np.flatnonzero(keep)
+        keep[(mags == t).nonzero()[0][-extra:]] = False
+    return keep.nonzero()[0]
+
+
+def top_k_support(v, k):
+    """Indices (ascending) of the k largest entries of |v|; ties keep lower index."""
+    v = _as_vector(v)
+    return _top_k(v, _check_k(k, v.size))
 
 
 def project_k_sparse(v, k):
     """Keep the k largest-magnitude entries of v, zero the rest."""
     v = _as_vector(v)
-    idx = top_k_support(v, k)
+    idx = _top_k(v, _check_k(k, v.size))
     out = np.zeros_like(v)
     out[idx] = v[idx]
+    return out
+
+
+def _prox_sparc(v, lam, k):
+    idx = _top_k(v, k)
+    out = np.zeros_like(v)
+    out[idx] = _prox_oscar(v[idx], 0.0, lam)
     return out
 
 
@@ -222,8 +258,4 @@ def prox_sparc(v, lam, k):
     The output is always k-sparse with support inside ``top_k_support(v, k)``.
     """
     v = _as_vector(v)
-    _check_nonneg(lam, "lam")
-    idx = top_k_support(v, k)
-    out = np.zeros_like(v)
-    out[idx] = prox_oscar(v[idx], 0.0, lam)
-    return out
+    return _prox_sparc(v, _check_nonneg(lam, "lam"), _check_k(k, v.size))

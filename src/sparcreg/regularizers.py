@@ -15,14 +15,20 @@ sparsity indicator is invariant under positive scaling).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .prox import (
+from .prox import (  # the public operators stay importable from here
     _as_vector,
+    _check_k,
     _check_nonneg,
+    _owl,
+    _prox_oscar,
+    _prox_sparc,
+    _soft,
     owl_weights,
     prox_elastic_net,
     prox_oscar,
@@ -96,30 +102,41 @@ def penalty_value(reg, x):
     zero, since prox outputs contain exact zeros.
     """
     x = _as_vector(x, "x")
-    p = x.size
+    if isinstance(reg, Sparc) and not 1 <= reg.k <= x.size:
+        raise ValueError(
+            f"Sparc k must satisfy 1 <= k <= {x.size}, got {reg.k}"
+        )
+    return _penalty(reg, x)
+
+
+def _penalty(reg, x):
+    """``penalty_value`` for a finite 1-D float64 x and, for Sparc, k <= x.size."""
     if isinstance(reg, Lasso):
         return float(reg.lam1 * np.abs(x).sum())
     if isinstance(reg, ElasticNet):
         return float(reg.lam1 * np.abs(x).sum() + 0.5 * reg.lam2 * (x @ x))
     if isinstance(reg, Oscar):
         mags = np.sort(np.abs(x))[::-1]
-        return float(owl_weights(reg.lam1, reg.lam2, p) @ mags)
+        return float(_owl(float(reg.lam1), float(reg.lam2), x.size) @ mags)
     if isinstance(reg, Sparc):
         k = reg.k
-        if not 1 <= k <= p:
-            raise ValueError(f"Sparc k must satisfy 1 <= k <= {p}, got {k}")
         if np.count_nonzero(x) > k:
             return float("inf")
         mags = np.sort(np.abs(x))[::-1][:k]
-        return float(owl_weights(0.0, reg.lam, k) @ mags)
+        return float(_owl(0.0, float(reg.lam), k) @ mags)
     raise TypeError(f"unknown regularizer {reg!r}")
+
+
+def _check_alpha(alpha):
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= 0:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
 
 
 def scale_penalty(reg, alpha):
     """The regularizer whose penalty equals ``penalty(reg) / alpha``."""
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha = _check_alpha(alpha)
     if isinstance(reg, Lasso):
         return Lasso(reg.lam1 / alpha)
     if isinstance(reg, ElasticNet):
@@ -135,15 +152,26 @@ def prox(reg, v, alpha=1.0):
     """Proximity operator of ``penalty(reg) / alpha`` at v.
 
     argmin_x  penalty(reg, x)/alpha + (1/2) ||x - v||^2
+
+    Checks v, alpha, the scaled parameters and (for Sparc) k <= v.size
+    once, then runs the unchecked kernel; the result equals the public
+    operator applied to ``scale_penalty(reg, alpha)``.
     """
-    scaled = scale_penalty(reg, alpha)
-    if isinstance(scaled, Lasso):
-        return soft_threshold(v, scaled.lam1)
-    if isinstance(scaled, ElasticNet):
-        return prox_elastic_net(v, scaled.lam1, scaled.lam2)
-    if isinstance(scaled, Oscar):
-        return prox_oscar(v, scaled.lam1, scaled.lam2)
-    return prox_sparc(v, scaled.lam, scaled.k)
+    alpha = _check_alpha(alpha)
+    v = _as_vector(v)
+    if isinstance(reg, Lasso):
+        return _soft(v, _check_nonneg(reg.lam1 / alpha, "lam1"))
+    if isinstance(reg, ElasticNet):
+        lam1 = _check_nonneg(reg.lam1 / alpha, "lam1")
+        lam2 = _check_nonneg(reg.lam2 / alpha, "lam2")
+        return _soft(v, lam1) / (1.0 + lam2)
+    if isinstance(reg, Oscar):
+        return _prox_oscar(v, _check_nonneg(reg.lam1 / alpha, "lam1"),
+                           _check_nonneg(reg.lam2 / alpha, "lam2"))
+    if isinstance(reg, Sparc):
+        return _prox_sparc(v, _check_nonneg(reg.lam / alpha, "lam"),
+                           _check_k(reg.k, v.size))
+    raise TypeError(f"unknown regularizer {reg!r}")
 
 
 def prox_objective(reg, v, z, alpha=1.0):

@@ -13,6 +13,10 @@ A^T A is never formed; products go through A and A^T only.  The residual
 A x - y of each candidate gives both its objective value and, once it is
 accepted, the next gradient, so an outer iteration costs one product with
 A per candidate, one with A^T, and one with A for the BB step.
+
+The objective and x0 are checked on entry; inside the loop each candidate
+pays for one checked ``prox`` call, and its objective and the BB ratio go
+through unchecked code guarded by the loop's own finiteness tests.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prox import _as_vector, project_k_sparse
-from .regularizers import Sparc, penalty_value, prox
+from .regularizers import Sparc, _penalty, penalty_value, prox
 
 __all__ = [
     "Objective",
@@ -108,13 +112,15 @@ class SolverResult:
 
 def objective_value(obj, x):
     """F(x) = 0.5*||A x - y||^2 + penalty(x)."""
-    return _residual_and_objective(obj, _as_vector(x, "x"))[1]
+    x = _as_vector(x, "x")
+    r = obj.A @ x - obj.y
+    return 0.5 * float(r @ r) + penalty_value(obj.reg, x)
 
 
 def _residual_and_objective(obj, x):
     """Residual A x - y and F(x), sharing one product with A; x is unchecked."""
     r = obj.A @ x - obj.y
-    return r, 0.5 * float(r @ r) + penalty_value(obj.reg, x)
+    return r, 0.5 * float(r @ r) + _penalty(obj.reg, x)
 
 
 def gradient_smooth(obj, x):
@@ -134,6 +140,19 @@ def bb_step(s, A):
         raise ValueError("displacement s is zero; BB step undefined")
     As = A @ s
     return float(As @ As) / ss
+
+
+def _prox_step(obj, x, grad, alpha):
+    """prox of the gradient step from x, the one checked call per candidate.
+
+    The objective and the sizes are checked on entry to the solver, so a
+    ValueError from prox here means its argument or the scaled penalty
+    overflowed, for instance through an infinite gradient.
+    """
+    try:
+        return prox(obj.reg, x - grad / alpha, alpha)
+    except ValueError as exc:
+        raise SolverDivergenceError(f"prox step overflowed: {exc}") from None
 
 
 def _initial_point(obj, x0):
@@ -161,7 +180,7 @@ def sparsa_solve(obj, x0=None, config=None):
 
     Returns a SolverResult whose trace holds F after each accepted step;
     the trace is non-increasing.  Raises SolverDivergenceError if any
-    iterate or objective value becomes non-finite.
+    prox argument, iterate or objective value becomes non-finite.
     """
     cfg = config if config is not None else SolverConfig()
     x = _initial_point(obj, x0)
@@ -171,7 +190,7 @@ def sparsa_solve(obj, x0=None, config=None):
 
     grad = obj.A.T @ r
     alpha = cfg.alpha_min
-    x_new = prox(obj.reg, x - grad / alpha, alpha)
+    x_new = _prox_step(obj, x, grad, alpha)
     r_new, f_new = _residual_and_objective(obj, x_new)
     if not (np.isfinite(x_new).all() and np.isfinite(f_new)):
         raise SolverDivergenceError("first step produced non-finite values")
@@ -183,18 +202,21 @@ def sparsa_solve(obj, x0=None, config=None):
 
     for _ in range(1, cfg.max_outer):
         s = x - x_prev
-        if float(s @ s) == 0.0:
+        ss = float(s @ s)
+        if ss == 0.0:
             # the last step moved nowhere: fixed point reached
             termination = "tolerance"
             break
-        # A s, not r - r_prev: the difference rounds differently and moves alpha
-        alpha = min(max(bb_step(s, obj.A), cfg.alpha_min), cfg.alpha_max)
+        # bb_step's ratio.  A s, not r - r_prev: the difference rounds
+        # differently and moves alpha
+        As = obj.A @ s
+        alpha = min(max(float(As @ As) / ss, cfg.alpha_min), cfg.alpha_max)
         grad = obj.A.T @ r
 
         accepted = False
         best_x, best_f = None, np.inf
         for _ in range(cfg.max_inner):
-            x_cand = prox(obj.reg, x - grad / alpha, alpha)
+            x_cand = _prox_step(obj, x, grad, alpha)
             r_cand, f_cand = _residual_and_objective(obj, x_cand)
             if not (np.isfinite(x_cand).all() and np.isfinite(f_cand)):
                 raise SolverDivergenceError(

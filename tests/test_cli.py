@@ -321,6 +321,20 @@ class TestDescribe:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,2", "line 4: expected 3 fields, found 2"),
+        ("1,oops,3", "line 4: could not convert string to float: 'oops'"),
+        ("1,nan,3", "line 4, column 'b': non-finite value 'nan'"),
+    ], ids=["field-count", "unparseable", "non-finite"])
+    def test_line_numbers_count_blank_lines(self, capsys, tmp_path, row,
+                                            message):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1,2,3\n\n{row}\n")
+        code, out, err = run(capsys, "describe", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "describe", str(tmp_path / "nope.csv"))
         assert code == 1

@@ -178,6 +178,17 @@ class TestLoadCsvContract:
             load_csv(path, "label", task)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("row, message", [
+        ("1,2", "line 4: expected 3 fields, found 2"),
+        ("1,oops,3", "line 4, column 'b': could not parse 'oops'"),
+        ("1,nan,3", "line 4, column 'b': non-finite value 'nan'"),
+    ], ids=["field-count", "unparseable", "non-finite"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, row, message):
+        path = self._write(tmp_path, f"a,b,label\n1,2,3\n\n{row}\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label", "regression")
+        assert str(exc.value).startswith(message)
+
     def test_bad_split_label_reports_line(self, tmp_path):
         path = self._write(tmp_path,
                            "a,label,split\n1,2,train\n3,4,dev\n")

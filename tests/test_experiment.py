@@ -142,13 +142,6 @@ class TestRunRepetitions:
                             master_seed=9)
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_threads_do_not_change_results(self):
-        a = run_repetitions(_tiny_spec(), _tiny_grids(), repetitions=3,
-                            master_seed=2, threads=1)
-        b = run_repetitions(_tiny_spec(), _tiny_grids(), repetitions=3,
-                            master_seed=2, threads=3)
-        assert a.to_json_dict() == b.to_json_dict()
-
     def test_mean_lies_between_extremes(self):
         rep = run_repetitions(_tiny_spec(), _tiny_grids(), repetitions=4,
                               master_seed=1, methods=("lasso",))

@@ -124,6 +124,63 @@ class TestProxDispatch:
                             prox_sparc(v, 0.25, 2))
 
 
+class TestProxKernels:
+    """prox runs unchecked kernels; it must match the checked operators."""
+
+    @staticmethod
+    def _composed(reg, v, alpha):
+        scaled = scale_penalty(reg, alpha)
+        if isinstance(scaled, Lasso):
+            return soft_threshold(v, scaled.lam1)
+        if isinstance(scaled, ElasticNet):
+            return prox_elastic_net(v, scaled.lam1, scaled.lam2)
+        if isinstance(scaled, Oscar):
+            return prox_oscar(v, scaled.lam1, scaled.lam2)
+        return prox_sparc(v, scaled.lam, scaled.k)
+
+    def test_matches_scaled_public_operators_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            p = int(rng.integers(1, 51))
+            v = np.round(rng.normal(0, 2, size=p), int(rng.integers(0, 3)))
+            v[rng.random(p) < 0.2] = 0.0   # exact zeros; rounding makes ties
+            alpha = float(np.exp(rng.normal(0, 2)))
+            a, b = float(rng.exponential()), float(rng.exponential())
+            k = int(rng.integers(1, p + 1))
+            for reg in (Lasso(a), ElasticNet(a, b), Oscar(a, b / p),
+                        Oscar(0.0, b), Sparc(b, k)):
+                assert (prox(reg, v, alpha).tobytes()
+                        == self._composed(reg, v, alpha).tobytes()), reg
+
+    @pytest.mark.parametrize("v, alpha", [
+        ([1.0, np.nan], 1.0),
+        ([[1.0, 2.0]], 1.0),
+        ([1.0, 2.0], 0.0),
+        ([1.0, 2.0], -1.0),
+        ([1.0, 2.0], np.nan),
+        ([1.0, 2.0], np.inf),
+    ], ids=["nan-v", "2d-v", "zero-alpha", "negative-alpha", "nan-alpha",
+            "inf-alpha"])
+    @pytest.mark.parametrize("reg", [Lasso(0.5), ElasticNet(0.5, 0.5),
+                                     Oscar(0.5, 0.5), Sparc(0.5, 1)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_bad_input_rejected(self, reg, v, alpha):
+        with pytest.raises(ValueError):
+            prox(reg, v, alpha)
+
+    def test_sparc_k_above_p_rejected(self):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            prox(Sparc(0.5, 3), [1.0, 2.0])
+
+    def test_scaled_parameter_overflow_rejected(self):
+        with pytest.raises(ValueError, match="lam1"):
+            prox(Lasso(1e300), [1.0], alpha=1e-10)
+
+    def test_unknown_regularizer_rejected(self):
+        with pytest.raises(TypeError):
+            prox(object(), [1.0, 2.0])
+
+
 class TestProxObjective:
     def test_value_at_candidate(self):
         # z=1, v=3: 1/1*|1| + 0.5*(1-3)^2 = 3

@@ -8,6 +8,7 @@ from sparcreg.solver import (
     Objective,
     SolverConfig,
     SolverDivergenceError,
+    _residual_and_objective,
     bb_step,
     gradient_smooth,
     objective_value,
@@ -179,6 +180,21 @@ class TestGeneralDesign:
         res = sparsa_solve(obj)
         assert res.trace[-1] == objective_value(obj, res.x)
 
+    @pytest.mark.parametrize("reg", [Lasso(0.3), ElasticNet(0.2, 0.5),
+                                     Oscar(0.1, 0.05), Sparc(0.05, 4)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_loop_objective_equals_checked_objective(self, reg):
+        # the solver's unchecked F must be the public objective bit for bit
+        rng = np.random.default_rng(43)
+        A, y = _random_problem(rng, 15, 12)
+        obj = Objective(A, y, reg)
+        for _ in range(50):
+            x = rng.normal(0, 1, size=12)
+            x[rng.random(12) < rng.random()] = 0.0
+            r, f = _residual_and_objective(obj, x)
+            assert f == objective_value(obj, x)
+            assert r.tobytes() == (A @ x - y).tobytes()
+
     def test_warm_start_respects_sparsity_constraint(self):
         rng = np.random.default_rng(39)
         A, y = _random_problem(rng, 20, 10)
@@ -224,3 +240,17 @@ class TestTermination:
         obj = Objective(np.eye(2), np.array([1.0, 2.0]), Lasso(1.0))
         with pytest.raises(SolverDivergenceError):
             sparsa_solve(obj, x0=np.array([1e200, 1e200]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("reg", [Lasso(0.3), ElasticNet(0.2, 0.5),
+                                     Oscar(0.1, 0.05), Sparc(0.05, 4)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_overflowing_gradient_raises_divergence(self, reg):
+        # F(0) = ||y||^2 / 2 is finite, but A^T y overflows to inf
+        rng = np.random.default_rng(0)
+        A = 1e160 * rng.normal(0, 1, size=(20, 40))
+        y = 1e150 * rng.normal(0, 1, size=20)
+        assert np.isinf(A.T @ y).any()
+        with pytest.raises(SolverDivergenceError):
+            sparsa_solve(Objective(A, y, reg))

@@ -28,8 +28,8 @@ from .data import (
     DataError,
     SPLIT_NAMES,
     SyntheticSpec,
-    _check_finite_cells,
-    _read_rows,
+    _parse_table,
+    _read_table,
     load_csv,
     normalize_dataset,
     split_dataset,
@@ -358,34 +358,13 @@ def cmd_fit(args):
 # ------------------------------------------------------------ describe
 
 def cmd_describe(args):
-    rows, line_nos = _read_rows(args.csv)
-    if not rows or not rows[1:]:
-        raise DataError(f"{args.csv}: need a header and at least one row")
-    header = [c.strip() for c in rows[0]]
+    header, rows, line_nos = _read_table(args.csv)
     split_idx = header.index("split") if "split" in header else None
     candidates = [j for j in range(len(header)) if j != split_idx]
     label_idx = (header.index("label") if "label" in header
                  else candidates[-1])
-    feat_idx = [j for j in candidates if j != label_idx]
-    if not feat_idx:
-        raise DataError("no feature columns")
-
-    labels, feats = [], []
-    for row, line_no in zip(rows[1:], line_nos[1:]):
-        if len(row) != len(header):
-            raise DataError(
-                f"line {line_no}: expected {len(header)} fields, "
-                f"found {len(row)}"
-            )
-        cells = [c.strip() for c in row]
-        try:
-            labels.append(float(cells[label_idx]))
-            feats.append([float(cells[j]) for j in feat_idx])
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: {exc}") from None
-    A = np.asarray(feats)
-    y = np.asarray(labels)
-    _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
+    _, A, y, _, split = _parse_table(
+        args.csv, header, rows, line_nos, label_idx, split_idx)
     values, counts = np.unique(y, return_counts=True)
     task = "classification" if values.size == 2 else "regression"
     norms = np.sqrt((A * A).sum(axis=0))
@@ -399,11 +378,9 @@ def cmd_describe(args):
     else:
         print(f"label range [{_fmt(y.min())}, {_fmt(y.max())}]")
     print(f"column norms in [{_fmt(norms.min())}, {_fmt(norms.max())}]")
-    if split_idx is not None:
+    if split is not None:
         for name in SPLIT_NAMES:
-            c = sum(1 for row in rows[1:]
-                    if row[split_idx].strip() == name)
-            print(f"split {name}: {c} rows")
+            print(f"split {name}: {split.count(name)} rows")
     return 0
 
 

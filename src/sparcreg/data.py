@@ -13,6 +13,8 @@ function here is a pure function of its inputs and the seed.
 from __future__ import annotations
 
 import csv
+import operator
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,11 +283,12 @@ def _parse_cell(tok, line_no, col_name):
         ) from None
 
 
-def _read_rows(path):
-    """The non-blank rows of a CSV file and the line number each ends on.
+def _read_table(path):
+    """The stripped header, the non-blank rows and the line each ends on.
 
     Line numbers are physical (1-based) lines of the file, so they stay
-    right after blank lines.
+    right after blank lines.  Raises DataError for an empty file or a
+    header that names a column twice.
     """
     rows, line_nos = [], []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -294,7 +297,13 @@ def _read_rows(path):
             if row:
                 rows.append(row)
                 line_nos.append(reader.line_num)
-    return rows, line_nos
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    dup = [c for c, k in Counter(header).items() if k > 1]
+    if dup:
+        raise DataError(f"line {line_nos[0]}: duplicate column {dup[0]!r}")
+    return header, rows, line_nos
 
 
 def _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y):
@@ -317,6 +326,56 @@ def _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y):
     )
 
 
+def _parse_table(path, header, rows, line_nos, label_idx, split_idx):
+    """Parse the rows of a ``_read_table`` table into numbers.
+
+    Columns other than ``label_idx`` and ``split_idx`` (None if absent)
+    are features.  Returns (feature columns, A, y, stripped label texts,
+    split labels or None); every error names its line and cell.
+    """
+    feat_idx = [
+        j for j in range(len(header)) if j not in (label_idx, split_idx)
+    ]
+    if not feat_idx:
+        raise DataError("no feature columns left after label/split")
+    if not rows[1:]:
+        raise DataError(f"{path}: no data rows")
+    # itemgetter of one index returns the cell itself, not a sequence
+    get = (operator.itemgetter(*feat_idx) if len(feat_idx) > 1 else
+           operator.itemgetter(slice(feat_idx[0], feat_idx[0] + 1)))
+    A_rows, labels = [], []
+    split = [] if split_idx is not None else None
+    for row, line_no in zip(rows[1:], line_nos[1:]):
+        if len(row) != len(header):
+            raise DataError(
+                f"line {line_no}: expected {len(header)} fields, "
+                f"found {len(row)}"
+            )
+        try:
+            # float() skips surrounding whitespace itself; a row it
+            # rejects is parsed again cell by cell, which names the bad
+            # cell or accepts whitespace only strip() removes ("\x1c")
+            A_rows.append([*map(float, get(row))])
+        except ValueError:
+            A_rows.append([_parse_cell(row[j].strip(), line_no, header[j])
+                           for j in feat_idx])
+        labels.append(row[label_idx].strip())
+        if split_idx is not None:
+            s = row[split_idx].strip()
+            if s not in SPLIT_NAMES:
+                raise DataError(
+                    f"line {line_no}: split label must be one of "
+                    f"{SPLIT_NAMES}, got {s!r}"
+                )
+            split.append(s)
+
+    A = np.asarray(A_rows)
+    y = np.asarray([_parse_cell(tok, ln, header[label_idx])
+                    for tok, ln in zip(labels, line_nos[1:])])
+    _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
+    return feat_idx, A, y, labels, split
+
+
 def load_csv(path, label_column, task, split_column="split"):
     """Read a header + numeric-rows CSV into a Dataset.
 
@@ -327,16 +386,13 @@ def load_csv(path, label_column, task, split_column="split"):
     numeric values; the one whose first-seen text is lexicographically
     smaller maps to -1.
 
-    Raises DataError with a line number for ragged rows, non-numeric or
-    non-finite cells, bad split labels, or a label-class count other than
-    two.
+    Raises DataError with a line number for a repeated column name,
+    ragged rows, non-numeric or non-finite cells, bad split labels, or a
+    label-class count other than two.
     """
     if task not in ("regression", "classification"):
         raise DataError(f"unknown task {task!r}")
-    rows, line_nos = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header, rows, line_nos = _read_table(path)
     if label_column not in header:
         raise DataError(
             f"label column {label_column!r} not found; "
@@ -348,41 +404,12 @@ def load_csv(path, label_column, task, split_column="split"):
         split_idx = header.index(split_column)
         if split_idx == label_idx:
             raise DataError("label and split columns must differ")
-    feat_idx = [
-        j for j in range(len(header)) if j not in (label_idx, split_idx)
-    ]
-    if not feat_idx:
-        raise DataError("no feature columns left after label/split")
-    if not rows[1:]:
-        raise DataError(f"{path}: no data rows")
-
-    A_rows, y_raw, split_vals = [], [], []
-    for row, line_no in zip(rows[1:], line_nos[1:]):
-        if len(row) != len(header):
-            raise DataError(
-                f"line {line_no}: expected {len(header)} fields, "
-                f"found {len(row)}"
-            )
-        cells = [c.strip() for c in row]
-        A_rows.append(
-            [_parse_cell(cells[j], line_no, header[j]) for j in feat_idx]
-        )
-        y_raw.append((cells[label_idx], line_no))
-        if split_idx is not None:
-            if cells[split_idx] not in SPLIT_NAMES:
-                raise DataError(
-                    f"line {line_no}: split label must be one of "
-                    f"{SPLIT_NAMES}, got {cells[split_idx]!r}"
-                )
-            split_vals.append(cells[split_idx])
-
-    A = np.asarray(A_rows)
-    y = np.asarray([_parse_cell(tok, ln, label_column) for tok, ln in y_raw])
-    _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
+    feat_idx, A, y, labels, split = _parse_table(
+        path, header, rows, line_nos, label_idx, split_idx)
     if task == "classification":
         # key classes by numeric value; remember first-seen text and line
         classes = {}
-        for (tok, ln), v in zip(y_raw, y.tolist()):
+        for tok, ln, v in zip(labels, line_nos[1:], y.tolist()):
             if v not in classes:
                 if len(classes) == 2:
                     seen = sorted(c[0] for c in classes.values())
@@ -399,7 +426,6 @@ def load_csv(path, label_column, task, split_column="split"):
         lo, hi = sorted(classes, key=lambda v: classes[v][0])
         y = np.where(y == lo, -1.0, 1.0)
 
-    split = np.asarray(split_vals) if split_idx is not None else None
     names = tuple(header[j] for j in feat_idx)
     return Dataset(A, y, task, split=split, feature_names=names)
 
@@ -408,20 +434,29 @@ def write_csv(ds, path, label_column="label", split_column="split"):
     """Write a Dataset as header + rows; floats use repr so a reload is exact.
 
     Emits the split column only when the dataset carries split labels.
+    Raises ValueError when two header columns would share a name (such
+    as a feature named like ``label_column``), since ``load_csv`` could
+    not tell them apart.
     """
     names = ds.feature_names or tuple(f"f{j}" for j in range(1, ds.p + 1))
     header = list(names) + [label_column]
     if ds.split is not None:
         header.append(split_column)
+    counts = Counter(c.strip() for c in header)
+    dup = [c for c, k in counts.items() if k > 1]
+    if dup:
+        raise ValueError(f"column {dup[0]!r} appears twice in the header")
+    ys = ds.y.tolist()
+    ends = ([f",{s}\n" for s in ds.split.tolist()] if ds.split is not None
+            else ["\n"] * ds.n)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.A[i]]
-            row.append(repr(float(ds.y[i])))
-            if ds.split is not None:
-                row.append(str(ds.split[i]))
-            w.writerow(row)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        # repr floats and split labels never need quoting; one row at a
+        # time keeps a single row of text in memory
+        for a, y, end in zip(ds.A, ys, ends):
+            cells = a.tolist()
+            cells.append(y)
+            fh.write(",".join(map(repr, cells)) + end)
 
 
 def split_dataset(ds, fractions, seed):

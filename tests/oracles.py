@@ -6,9 +6,12 @@ implementations are checked against arithmetic that shares no code with
 them.
 """
 
+import csv
 import itertools
 
 import numpy as np
+
+from sparcreg.data import SPLIT_NAMES, DataError, Dataset
 
 
 def lasso_penalty_direct(z, lam1):
@@ -190,3 +193,123 @@ def lasso_coordinate_descent(A, y, lam1, sweeps=20000, tol=1e-14):
         if delta < tol:
             break
     return x
+
+
+# ------------------------------------------------------------ CSV oracles
+
+def write_csv_rowwise(ds, path, label_column="label", split_column="split"):
+    """``write_csv`` the literal way: every cell through ``csv.writer``."""
+    names = ds.feature_names or tuple(f"f{j}" for j in range(1, ds.p + 1))
+    header = list(names) + [label_column]
+    if ds.split is not None:
+        header.append(split_column)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for i in range(ds.n):
+            row = [repr(float(v)) for v in ds.A[i]]
+            row.append(repr(float(ds.y[i])))
+            if ds.split is not None:
+                row.append(str(ds.split[i]))
+            w.writerow(row)
+
+
+def _parse_cell(tok, line_no, col_name):
+    try:
+        return float(tok)
+    except ValueError:
+        raise DataError(
+            f"line {line_no}, column {col_name!r}: "
+            f"could not parse {tok!r} as a number"
+        ) from None
+
+
+def load_csv_percell(path, label_column, task, split_column="split"):
+    """``load_csv`` the literal way: strip and parse one cell at a time.
+
+    Same contract and messages as ``sparcreg.data.load_csv``, except that
+    it does not reject a header that names a column twice.
+    """
+    if task not in ("regression", "classification"):
+        raise DataError(f"unknown task {task!r}")
+    rows, line_nos = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if row:
+                rows.append(row)
+                line_nos.append(reader.line_num)
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [c.strip() for c in rows[0]]
+    if label_column not in header:
+        raise DataError(
+            f"label column {label_column!r} not found; "
+            f"columns are {header}"
+        )
+    label_idx = header.index(label_column)
+    split_idx = None
+    if split_column is not None and split_column in header:
+        split_idx = header.index(split_column)
+        if split_idx == label_idx:
+            raise DataError("label and split columns must differ")
+    feat_idx = [
+        j for j in range(len(header)) if j not in (label_idx, split_idx)
+    ]
+    if not feat_idx:
+        raise DataError("no feature columns left after label/split")
+    if not rows[1:]:
+        raise DataError(f"{path}: no data rows")
+
+    A_rows, y_raw, split_vals = [], [], []
+    for row, line_no in zip(rows[1:], line_nos[1:]):
+        if len(row) != len(header):
+            raise DataError(
+                f"line {line_no}: expected {len(header)} fields, "
+                f"found {len(row)}"
+            )
+        cells = [c.strip() for c in row]
+        A_rows.append(
+            [_parse_cell(cells[j], line_no, header[j]) for j in feat_idx]
+        )
+        y_raw.append((cells[label_idx], line_no))
+        if split_idx is not None:
+            if cells[split_idx] not in SPLIT_NAMES:
+                raise DataError(
+                    f"line {line_no}: split label must be one of "
+                    f"{SPLIT_NAMES}, got {cells[split_idx]!r}"
+                )
+            split_vals.append(cells[split_idx])
+
+    A = np.asarray(A_rows)
+    y = np.asarray([_parse_cell(tok, ln, label_column) for tok, ln in y_raw])
+    for i in range(len(A_rows)):           # first non-finite cell, by line
+        for j in sorted(feat_idx + [label_idx]):
+            v = y[i] if j == label_idx else A[i, feat_idx.index(j)]
+            if not np.isfinite(v):
+                raise DataError(
+                    f"line {line_nos[i + 1]}, column {header[j]!r}: "
+                    f"non-finite value {rows[i + 1][j].strip()!r}"
+                )
+    if task == "classification":
+        classes = {}
+        for (tok, ln), v in zip(y_raw, y.tolist()):
+            if v not in classes:
+                if len(classes) == 2:
+                    seen = sorted(c[0] for c in classes.values())
+                    raise DataError(
+                        f"line {ln}: more than two classes for "
+                        f"classification (had {seen}, then {tok!r})"
+                    )
+                classes[v] = (tok, ln)
+        if len(classes) < 2:
+            raise DataError(
+                "classification needs exactly two distinct label values, "
+                f"found {len(classes)}"
+            )
+        lo, hi = sorted(classes, key=lambda v: classes[v][0])
+        y = np.where(y == lo, -1.0, 1.0)
+
+    split = np.asarray(split_vals) if split_idx is not None else None
+    names = tuple(header[j] for j in feat_idx)
+    return Dataset(A, y, task, split=split, feature_names=names)

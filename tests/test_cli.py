@@ -10,8 +10,8 @@ import pytest
 
 import sparcreg
 from sparcreg.cli import main
-from sparcreg.data import ClassificationSpec, Dataset, \
-    generate_grouped_classification, write_csv
+from sparcreg.data import ClassificationSpec, DataError, Dataset, \
+    generate_grouped_classification, load_csv, write_csv
 
 
 SRC = pathlib.Path(sparcreg.__file__).resolve().parents[1]
@@ -323,7 +323,7 @@ class TestDescribe:
 
     @pytest.mark.parametrize("row, message", [
         ("1,2", "line 4: expected 3 fields, found 2"),
-        ("1,oops,3", "line 4: could not convert string to float: 'oops'"),
+        ("1,oops,3", "line 4, column 'b': could not parse 'oops' as a number"),
         ("1,nan,3", "line 4, column 'b': non-finite value 'nan'"),
     ], ids=["field-count", "unparseable", "non-finite"])
     def test_line_numbers_count_blank_lines(self, capsys, tmp_path, row,
@@ -334,6 +334,24 @@ class TestDescribe:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,label,split\n1,0.5,train\n2,1.5,trian\n3,2.5,test\n",
+         "line 3: split label must be one of "
+         "('train', 'validation', 'test'), got 'trian'"),
+        ("a,label,a\n1,0.5,2\n", "line 1: duplicate column 'a'"),
+    ], ids=["bad-split", "duplicate-column"])
+    def test_rejects_what_load_csv_rejects(self, capsys, tmp_path, text,
+                                           message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "describe", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label", "regression")
+        assert str(exc.value) == message
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "describe", str(tmp_path / "nope.csv"))

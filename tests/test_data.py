@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from sparcreg.data import (
+    SPLIT_NAMES,
     ClassificationSpec,
     DataError,
     Dataset,
@@ -17,6 +18,7 @@ from sparcreg.data import (
     top_correlation_screen,
     write_csv,
 )
+from oracles import load_csv_percell, write_csv_rowwise
 
 
 class TestSyntheticRegression:
@@ -142,6 +144,23 @@ class TestCsvRoundTrip:
         npt.assert_array_equal(back.y, ds.y)
         npt.assert_array_equal(back.split, ds.split)
 
+    @pytest.mark.parametrize("features, label_column, split, clash", [
+        (("label", "b"), "label", False, "label"),
+        (("a", "split"), "label", True, "split"),
+        (("a", " y "), "y", False, "y"),
+        (("a", "b"), "split", True, "split"),
+        (("a", "a"), "label", False, "a"),
+    ], ids=["label", "split", "stripped", "label-is-split", "features"])
+    def test_clashing_column_names_rejected(self, tmp_path, features,
+                                            label_column, split, clash):
+        ds = Dataset(np.ones((3, 2)), [1.0, 2.0, 3.0], "regression",
+                     split=["train", "validation", "test"] if split else None,
+                     feature_names=features)
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match=f"column '{clash}'"):
+            write_csv(ds, path, label_column=label_column)
+        assert not path.exists()
+
 
 class TestLoadCsvContract:
     def _write(self, tmp_path, text):
@@ -154,6 +173,11 @@ class TestLoadCsvContract:
         ds = load_csv(path, "label", "classification")
         npt.assert_array_equal(ds.y, [-1.0, 1.0, -1.0])
         assert ds.feature_names == ("a", "b")
+
+    def test_single_feature_column(self, tmp_path):
+        path = self._write(tmp_path, "x,label\n12,1\n345,2\n")
+        ds = load_csv(path, "label", "regression")
+        npt.assert_array_equal(ds.A, [[12.0], [345.0]])
 
     def test_ragged_row_reports_line(self, tmp_path):
         path = self._write(tmp_path, "a,b,label\n1,2,3\n1,2\n")
@@ -217,11 +241,123 @@ class TestLoadCsvContract:
             load_csv(self._write(tmp_path, "a,label\n"), "label",
                      "regression")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,a,label\n1,2,3\n", "line 1: duplicate column 'a'"),
+        ("\nlabel,b, label\n1,2,3\n", "line 2: duplicate column 'label'"),
+    ], ids=["feature", "label-after-blank-line"])
+    def test_duplicate_column_rejected(self, tmp_path, text, message):
+        path = self._write(tmp_path, text)
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label", "regression")
+        assert str(exc.value) == message
+
     def test_split_column_opt_out_keeps_it_as_feature(self, tmp_path):
         path = self._write(tmp_path, "a,split,label\n1,4,2\n")
         ds = load_csv(path, "label", "regression", split_column=None)
         assert ds.feature_names == ("a", "split")
         assert ds.split is None
+
+
+def _random_dataset(rng, split, names):
+    n, p = int(rng.integers(1, 12)), len(names)
+    A = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-30, 30, (n, p))
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, 0.1])
+    mask = rng.random((n, p)) < 0.3
+    A[mask] = rng.choice(special, int(mask.sum()))
+    y = (rng.choice(special, n) if rng.random() < 0.5
+         else rng.standard_normal(n))
+    return Dataset(A, y, "regression",
+                   split=rng.choice(SPLIT_NAMES, n) if split else None,
+                   feature_names=names)
+
+
+def _random_cell(rng):
+    v = float(rng.standard_normal() * 10.0 ** rng.integers(-5, 5))
+    text = str(rng.choice([repr(v), f"{v:.3g}", f"{v:e}", "1_0", "+.5e-3",
+                           "-0", "7", "12", "1e300", "5e-324"]))
+    pad = ["", "", " ", "\t", "\xa0", "\x1c"]
+    return str(rng.choice(pad)) + text + str(rng.choice(pad))
+
+
+class TestCsvMatchesOracles:
+    """The streaming writer and the one-loop reader against the literal
+    per-cell code they replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_write_csv_bytes(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        names = [["a,b", 'q"x', "f 3"], ["x"], [], ["f1", "f2", "c\nd"]]
+        ds = _random_dataset(rng, split=seed % 2 == 0,
+                             names=names[seed % len(names)])
+        label = ["label", "y", "target,1"][seed % 3]
+        write_csv(ds, tmp_path / "new.csv", label_column=label)
+        write_csv_rowwise(ds, tmp_path / "old.csv", label_column=label)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_load_csv_arrays(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(2, 10)), int(rng.integers(1, 6))
+        task = ("regression", "classification")[seed % 2]
+        header = [f"c{j}" for j in range(p)] + ["label", "split"]
+        order = rng.permutation(len(header))
+        lines = [",".join(header[j] for j in order)]
+        for i in range(n):
+            cells = [_random_cell(rng) for _ in range(p)]
+            if task == "classification":
+                cells.append(str(rng.choice([" 0", "1 ", "+1", "1.0"]))
+                             if i > 1 else str(i))
+            else:
+                cells.append(_random_cell(rng))
+            cells.append(" " + str(rng.choice(SPLIT_NAMES)) + " ")
+            lines.append(",".join(cells[j] for j in order))
+            if rng.random() < 0.2:
+                lines.append("")
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        new = load_csv(path, "label", task)
+        old = load_csv_percell(path, "label", task)
+        assert new.A.tobytes() == old.A.tobytes()
+        assert new.y.tobytes() == old.y.tobytes()
+        assert new.split.tolist() == old.split.tolist()
+        assert new.feature_names == old.feature_names
+
+    @pytest.mark.parametrize("text, label, task, split_column", [
+        ("", "label", "regression", "split"),
+        ("a,label\n", "label", "regression", "split"),
+        ("a,b\n1,2\n", "y", "regression", "split"),
+        ("label\n1\n", "label", "regression", "split"),
+        ("a,label,split\n1,2,train\n", "label", "regression", "label"),
+        ("a,label,split\n1,2,train\n", "label", "ranking", "split"),
+        ("a,b,label\n1,2,3\n1,2\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,3\n\n1,2,3,4\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,3\n1,oops,3\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,3\n\n1, ,3\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,3\n1,2,x\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,3\n1, nan ,3\n", "label", "regression", "split"),
+        ("a,b,label\n1,inf,3\n1,nan,3\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,nan\n1,nan,3\n", "label", "regression", "split"),
+        ("a,b,label\n1,2,0\n3,4,1\n5,6,-inf\n", "label",
+         "classification", "split"),
+        ("a,label,split\n1,2,train\n3,4,dev\n", "label", "regression",
+         "split"),
+        ("a,label,split\n1,x,train\n3,4,dev\n", "label", "regression",
+         "split"),
+        ("a,label,split\nx,2,dev\n", "label", "regression", "split"),
+        ("a,label\n1,0\n2,1\n3,2\n", "label", "classification", "split"),
+        ("a,label\n1,0\n2,x\n3,2\n", "label", "classification", "split"),
+        ("a,label\n1,1\n2,1\n", "label", "classification", "split"),
+    ])
+    def test_load_csv_errors(self, tmp_path, text, label, task,
+                             split_column):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as old:
+            load_csv_percell(path, label, task, split_column)
+        with pytest.raises(DataError) as new:
+            load_csv(path, label, task, split_column)
+        assert str(new.value) == str(old.value)
 
 
 class TestSplitDataset:

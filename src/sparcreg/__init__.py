@@ -7,7 +7,6 @@ generators, evaluation metrics, and grid-search benchmark pipelines.
 """
 
 from .prox import (
-    SortedMagnitudeView,
     isotonic_decreasing,
     owl_weights,
     project_k_sparse,
@@ -26,7 +25,6 @@ from .regularizers import (
     penalty_value,
     prox,
     prox_objective,
-    scale_penalty,
 )
 from .solver import (
     Objective,
@@ -78,11 +76,11 @@ from .experiment import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SortedMagnitudeView", "isotonic_decreasing", "owl_weights",
-    "project_k_sparse", "prox_elastic_net", "prox_oscar", "prox_sparc",
-    "soft_threshold", "top_k_support",
+    "isotonic_decreasing", "owl_weights", "project_k_sparse",
+    "prox_elastic_net", "prox_oscar", "prox_sparc", "soft_threshold",
+    "top_k_support",
     "ElasticNet", "Lasso", "Oscar", "Regularizer", "Sparc",
-    "penalty_value", "prox", "prox_objective", "scale_penalty",
+    "penalty_value", "prox", "prox_objective",
     "Objective", "SolverConfig", "SolverDivergenceError", "SolverResult",
     "bb_step", "gradient_smooth", "objective_value", "sparsa_solve",
     "ClassificationSpec", "DataError", "Dataset", "SyntheticSpec",

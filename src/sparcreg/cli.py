@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -38,15 +38,16 @@ from .data import (
 from .experiment import (
     METHOD_NAMES,
     GridSpec,
+    _axes,
+    _method_grid,
     _reg_to_dict,
-    default_grids,
     emit_table,
     format_table,
     grid_search,
     run_repetitions,
 )
 from .metrics import cla, compute_report
-from .regularizers import ElasticNet, Lasso, Oscar, Sparc, prox, prox_objective
+from .regularizers import _BY_METHOD, prox, prox_objective
 from .solver import SolverConfig, SolverDivergenceError
 
 __all__ = ["main"]
@@ -121,36 +122,29 @@ def _default_outdir():
 
 # ---------------------------------------------------------------- prox
 
-def _prox_regularizer(args):
-    def need(value, flag, method):
-        if value is None:
-            raise CliError(f"--{method} requires {flag}")
-        return value
+# each regularizer field and the flag that sets it; the flag's dest is
+# the field name
+_FIELD_FLAGS = {"lam1": "--lambda1", "lam2": "--lambda2", "lam": "--lambda",
+                "k": "--k"}
 
-    def refuse(value, flag, method):
-        if value is not None:
+
+def _given_fields(args, method):
+    """The method's fields that flags set; refuses another method's flag."""
+    names = [f.name for f in fields(_BY_METHOD[method])]
+    for name, flag in _FIELD_FLAGS.items():
+        if name not in names and getattr(args, name) is not None:
             raise CliError(f"{flag} is not a --{method} parameter")
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
+
+def _prox_regularizer(args):
+    method = next(m for m in METHOD_NAMES if getattr(args, m))
+    given = _given_fields(args, method)
+    for f in fields(_BY_METHOD[method]):
+        if f.name not in given:
+            raise CliError(f"--{method} requires {_FIELD_FLAGS[f.name]}")
     try:
-        if args.lasso:
-            refuse(args.lambda2, "--lambda2", "lasso")
-            refuse(args.lam, "--lambda", "lasso")
-            refuse(args.k, "--k", "lasso")
-            return Lasso(need(args.lambda1, "--lambda1", "lasso"))
-        if args.enet:
-            refuse(args.lam, "--lambda", "enet")
-            refuse(args.k, "--k", "enet")
-            return ElasticNet(need(args.lambda1, "--lambda1", "enet"),
-                              need(args.lambda2, "--lambda2", "enet"))
-        if args.oscar:
-            refuse(args.lam, "--lambda", "oscar")
-            refuse(args.k, "--k", "oscar")
-            return Oscar(need(args.lambda1, "--lambda1", "oscar"),
-                         need(args.lambda2, "--lambda2", "oscar"))
-        refuse(args.lambda1, "--lambda1", "sparc")
-        refuse(args.lambda2, "--lambda2", "sparc")
-        return Sparc(need(args.lam, "--lambda", "sparc"),
-                     need(args.k, "--k", "sparc"))
+        return _BY_METHOD[method](**given)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -192,14 +186,22 @@ def _parse_methods(text):
     return methods
 
 
-def _grid_overrides(args, p):
+def _grid_axes(args, p):
+    """The axes of default_grids, with --lambda-grid and --k-grid applied."""
     lam = (_parse_float_list(args.lambda_grid, "--lambda-grid")
            if args.lambda_grid else None)
     ks = (_parse_int_list(args.k_grid, "--k-grid")
           if args.k_grid else None)
     try:
-        return default_grids(p, lam_grid=lam, k_grid=ks)
-    except (ValueError, TypeError) as exc:
+        return _axes(p, lam_grid=lam, k_grid=ks)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
+def _grids(methods, axes):
+    try:
+        return GridSpec(**{m: _method_grid(m, axes) for m in methods})
+    except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
@@ -214,7 +216,7 @@ def cmd_synth(args):
     if args.reps < 1:
         raise CliError(f"--reps must be >= 1, got {args.reps}")
     spec = SyntheticSpec()
-    grids = _grid_overrides(args, spec.p)
+    grids = _grids(methods, _grid_axes(args, spec.p))
     report = run_repetitions(
         spec, grids, config=cfg, repetitions=args.reps,
         master_seed=args.seed, methods=methods,
@@ -248,34 +250,14 @@ def _parse_fractions(text):
     return tuple(parts)
 
 
-def _fit_grid(args, p):
-    # axes sweep strong to weak regularization, matching default_grids
-    lam_axis = sorted(
-        (_parse_float_list(args.lambda_grid, "--lambda-grid")
-         if args.lambda_grid
-         else [float(v) for v in np.logspace(-3, 1, 10)]),
-        reverse=True)
-    k_axis = (_parse_int_list(args.k_grid, "--k-grid")
-              if args.k_grid else [5, 10, 15, 20, 25])
-    k_axis = sorted([k for k in k_axis if 1 <= k <= p], reverse=True) or [p]
-    # explicit parameters pin their axis; the rest stays on the grid
-    a1 = [args.lambda1] if args.lambda1 is not None else lam_axis
-    a2 = [args.lambda2] if args.lambda2 is not None else lam_axis
-    al = [args.lam] if args.lam is not None else lam_axis
-    ak = [args.k] if args.k is not None else k_axis
-    try:
-        if args.method == "lasso":
-            return GridSpec(lasso=tuple(Lasso(l) for l in a1))
-        if args.method == "enet":
-            return GridSpec(enet=tuple(
-                ElasticNet(l1, l2) for l1 in a1 for l2 in a2))
-        if args.method == "oscar":
-            return GridSpec(oscar=tuple(
-                Oscar(l1, l2) for l1 in a1 for l2 in a2))
-        return GridSpec(sparc=tuple(
-            Sparc(l, min(k, p)) for l in al for k in ak))
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+def _fit_grid(args, p, given):
+    """default_grids' grid for --method, with the given parameters pinning
+    their axis; a given k above p is clamped to p."""
+    if "k" in given:
+        given["k"] = min(given["k"], p)
+    axes = _grid_axes(args, p)
+    axes.update((name, (value,)) for name, value in given.items())
+    return _grids((args.method,), axes)
 
 
 def _write_coefficients(path, names, e, scales):
@@ -294,6 +276,7 @@ def _write_coefficients(path, names, e, scales):
 def cmd_fit(args):
     fractions = _parse_fractions(args.split)
     cfg = _solver_config(args)
+    given = _given_fields(args, args.method)
     ds = load_csv(args.csv, args.label, args.task)
     try:
         ds = split_dataset(ds, fractions, args.seed)
@@ -305,7 +288,7 @@ def cmd_fit(args):
             raise CliError(f"--screen must be >= 1, got {args.screen}")
         ds, kept = top_correlation_screen(ds, args.screen)
     ds, scales = normalize_dataset(ds, args.normalization)
-    grids = _fit_grid(args, ds.p)
+    grids = _fit_grid(args, ds.p, given)
     reg, e = grid_search(ds, grids.grid_for(args.method), cfg)
     report = compute_report(ds, e, average=args.metric_mean)
 
@@ -361,6 +344,8 @@ def cmd_describe(args):
     header, rows, line_nos = _read_table(args.csv)
     split_idx = header.index("split") if "split" in header else None
     candidates = [j for j in range(len(header)) if j != split_idx]
+    if not candidates:
+        raise DataError("no feature columns left after label/split")
     label_idx = (header.index("label") if "label" in header
                  else candidates[-1])
     _, A, y, _, split = _parse_table(
@@ -395,10 +380,10 @@ def build_parser():
 
     p = sub.add_parser("prox", help="apply a proximity operator")
     which = p.add_mutually_exclusive_group(required=True)
-    for name in ("lasso", "enet", "oscar", "sparc"):
+    for name in METHOD_NAMES:
         which.add_argument(f"--{name}", action="store_true")
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
+    p.add_argument("--lambda1", dest="lam1", type=float)
+    p.add_argument("--lambda2", dest="lam2", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--k", type=int)
     src = p.add_mutually_exclusive_group(required=True)
@@ -432,8 +417,8 @@ def build_parser():
                    help="keep only the m columns most correlated with y")
     p.add_argument("--normalization", default="l2",
                    choices=("l2", "zscore", "none"))
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
+    p.add_argument("--lambda1", dest="lam1", type=float)
+    p.add_argument("--lambda2", dest="lam2", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--k", type=int)
     p.add_argument("--lambda-grid")

@@ -230,14 +230,11 @@ def _grouped_design(rng, spec):
     return np.hstack([grouped, tail])
 
 
-def generate_synthetic(spec=None):
-    """Generate the grouped-covariates regression benchmark.
+def _generate(spec, noise_sd):
+    """(A, A x* + noise, x*, split, names) for either generator.
 
-    Columns of the combined (train + validation + test) matrix are scaled
-    to unit Euclidean norm on the training rows before the response is
-    formed, so y = A x* + w holds for the returned matrix.
+    The noise, with standard deviation ``noise_sd``, is drawn last.
     """
-    spec = spec if spec is not None else SyntheticSpec()
     rng = np.random.default_rng(spec.seed)
     A_raw = _grouped_design(rng, spec)
     split = _split_labels(spec.n_train, spec.n_validation, spec.n_test)
@@ -247,8 +244,20 @@ def generate_synthetic(spec=None):
         np.full(spec.n_groups * spec.group_size, spec.signal),
         np.zeros(spec.n_irrelevant),
     ])
-    w = rng.standard_normal(spec.n) * np.sqrt(spec.observation_noise_var)
-    y = A @ x_true + w
+    noise = rng.standard_normal(spec.n) * noise_sd
+    return A, A @ x_true + noise, x_true, split, names
+
+
+def generate_synthetic(spec=None):
+    """Generate the grouped-covariates regression benchmark.
+
+    Columns of the combined (train + validation + test) matrix are scaled
+    to unit Euclidean norm on the training rows before the response is
+    formed, so y = A x* + w holds for the returned matrix.
+    """
+    spec = spec if spec is not None else SyntheticSpec()
+    A, y, x_true, split, names = _generate(
+        spec, np.sqrt(spec.observation_noise_var))
     return Dataset(A, y, "regression", x_true, split, names)
 
 
@@ -259,17 +268,8 @@ def generate_grouped_classification(spec=None):
     controls how far the task sits from perfect separability.
     """
     spec = spec if spec is not None else ClassificationSpec()
-    rng = np.random.default_rng(spec.seed)
-    A_raw = _grouped_design(rng, spec)
-    split = _split_labels(spec.n_train, spec.n_validation, spec.n_test)
-    names = tuple(f"f{j}" for j in range(1, spec.p + 1))
-    A, _ = normalize_columns(A_raw, split == "train", names)
-    x_true = np.concatenate([
-        np.full(spec.n_groups * spec.group_size, spec.signal),
-        np.zeros(spec.n_irrelevant),
-    ])
-    noise = rng.standard_normal(spec.n) * spec.margin_noise_sd
-    y = np.where(A @ x_true + noise >= 0, 1.0, -1.0)
+    A, margin, x_true, split, names = _generate(spec, spec.margin_noise_sd)
+    y = np.where(margin >= 0, 1.0, -1.0)
     return Dataset(A, y, "classification", x_true, split, names)
 
 
@@ -436,16 +436,17 @@ def write_csv(ds, path, label_column="label", split_column="split"):
     Emits the split column only when the dataset carries split labels.
     Raises ValueError when two header columns would share a name (such
     as a feature named like ``label_column``), since ``load_csv`` could
-    not tell them apart.
+    not tell them apart.  ``split_column`` counts even when it is not
+    written, since ``load_csv`` would read a column of that name as split
+    labels.
     """
     names = ds.feature_names or tuple(f"f{j}" for j in range(1, ds.p + 1))
-    header = list(names) + [label_column]
-    if ds.split is not None:
-        header.append(split_column)
-    counts = Counter(c.strip() for c in header)
+    columns = list(names) + [label_column, split_column]
+    counts = Counter(c.strip() for c in columns if c is not None)
     dup = [c for c, k in counts.items() if k > 1]
     if dup:
         raise ValueError(f"column {dup[0]!r} appears twice in the header")
+    header = columns if ds.split is not None else columns[:-1]
     ys = ds.y.tolist()
     ends = ([f",{s}\n" for s in ds.split.tolist()] if ds.split is not None
             else ["\n"] * ds.n)

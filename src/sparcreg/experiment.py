@@ -16,9 +16,10 @@ master seed), so rerunning a benchmark reproduces the files byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .data import (
     split_dataset,
 )
 from .metrics import METRIC_NAMES, cla, compute_report, nnz
-from .regularizers import ElasticNet, Lasso, Oscar, Sparc
+from .regularizers import _BY_METHOD, Regularizer
 from .solver import (
     Objective,
     SolverConfig,
@@ -52,19 +53,12 @@ __all__ = [
     "load_report",
 ]
 
-METHOD_NAMES = ("lasso", "enet", "oscar", "sparc")
+METHOD_NAMES = tuple(_BY_METHOD)
 
 # metric rows shown in report.csv, per task
 TABLE_METRICS = {
     "regression": ("MAE", "MSE", "DoF", "SER"),
     "classification": ("CLA", "DoF", "NNZ"),
-}
-
-_METHOD_CLASS = {
-    "lasso": Lasso,
-    "enet": ElasticNet,
-    "oscar": Oscar,
-    "sparc": Sparc,
 }
 
 SCHEMA_VERSION = 1
@@ -83,10 +77,10 @@ class GridSpec:
         for name in METHOD_NAMES:
             grid = tuple(getattr(self, name))
             for reg in grid:
-                if not isinstance(reg, _METHOD_CLASS[name]):
+                if not (isinstance(reg, Regularizer) and reg.method == name):
                     raise TypeError(
                         f"{name} grid holds {type(reg).__name__}, "
-                        f"expected {_METHOD_CLASS[name].__name__}"
+                        f"expected {_BY_METHOD[name].__name__}"
                     )
             object.__setattr__(self, name, grid)
 
@@ -94,6 +88,31 @@ class GridSpec:
         if method not in METHOD_NAMES:
             raise ValueError(f"unknown method {method!r}")
         return getattr(self, method)
+
+
+def _axes(p, lam_grid=None, k_grid=None):
+    """The axis of each regularizer field, as ``default_grids`` sets them."""
+    if lam_grid is None:
+        lam_grid = np.logspace(-3, 1, 10)
+    lam = tuple(sorted((float(v) for v in np.asarray(lam_grid, dtype=float)),
+                       reverse=True))
+    if not lam:
+        raise ValueError("empty penalty grid")
+    if k_grid is None:
+        k_grid = (5, 10, 15, 20, 25)
+    ks = tuple(sorted((int(k) for k in k_grid if 1 <= int(k) <= p),
+                      reverse=True))
+    if not ks:
+        ks = (int(p),)
+    return {"lam1": lam, "lam2": lam, "lam": lam, "k": ks}
+
+
+def _method_grid(method, axes):
+    """The method's regularizers over the product of its fields' axes,
+    the first field outermost."""
+    cls = _BY_METHOD[method]
+    return tuple(cls(*point) for point in itertools.product(
+        *(axes[f.name] for f in fields(cls))))
 
 
 def default_grids(p, lam_grid=None, k_grid=None):
@@ -111,24 +130,8 @@ def default_grids(p, lam_grid=None, k_grid=None):
     reliable than growing one, and it is what lets the solver escape bad
     support basins of the nonconvex constraint.
     """
-    if lam_grid is None:
-        lam_grid = np.logspace(-3, 1, 10)
-    lam = tuple(sorted((float(v) for v in np.asarray(lam_grid, dtype=float)),
-                       reverse=True))
-    if not lam:
-        raise ValueError("empty penalty grid")
-    if k_grid is None:
-        k_grid = (5, 10, 15, 20, 25)
-    ks = tuple(sorted((int(k) for k in k_grid if 1 <= int(k) <= p),
-                      reverse=True))
-    if not ks:
-        ks = (int(p),)
-    return GridSpec(
-        lasso=tuple(Lasso(l) for l in lam),
-        enet=tuple(ElasticNet(l1, l2) for l1 in lam for l2 in lam),
-        oscar=tuple(Oscar(l1, l2) for l1 in lam for l2 in lam),
-        sparc=tuple(Sparc(l, k) for l in lam for k in ks),
-    )
+    axes = _axes(p, lam_grid, k_grid)
+    return GridSpec(**{m: _method_grid(m, axes) for m in METHOD_NAMES})
 
 
 def grid_search(ds, grid, config=None):
@@ -176,15 +179,7 @@ def grid_search(ds, grid, config=None):
 
 
 def _reg_to_dict(reg):
-    if isinstance(reg, Lasso):
-        return {"type": "lasso", "lam1": reg.lam1}
-    if isinstance(reg, ElasticNet):
-        return {"type": "enet", "lam1": reg.lam1, "lam2": reg.lam2}
-    if isinstance(reg, Oscar):
-        return {"type": "oscar", "lam1": reg.lam1, "lam2": reg.lam2}
-    if isinstance(reg, Sparc):
-        return {"type": "sparc", "lam": reg.lam, "k": reg.k}
-    raise TypeError(f"unknown regularizer {reg!r}")
+    return {"type": reg.method, **asdict(reg)}
 
 
 def _source_config(source):

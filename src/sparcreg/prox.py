@@ -17,12 +17,10 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SortedMagnitudeView",
     "soft_threshold",
     "prox_elastic_net",
     "owl_weights",
@@ -65,33 +63,6 @@ def _check_k(k, p):
     if not 1 <= k <= p:
         raise ValueError(f"k must satisfy 1 <= k <= {p}, got {k}")
     return k
-
-
-@dataclass(frozen=True)
-class SortedMagnitudeView:
-    """Decomposition of a vector into sorted magnitudes, signs and a permutation.
-
-    ``magnitudes`` is non-increasing; ``permutation[i]`` is the original index
-    of the i-th largest magnitude (ties keep the lower original index first).
-    ``reconstruct(magnitudes)`` recovers the original vector exactly.
-    """
-
-    magnitudes: np.ndarray
-    signs: np.ndarray
-    permutation: np.ndarray
-
-    @classmethod
-    def from_vector(cls, v):
-        v = _as_vector(v)
-        mags = np.abs(v)
-        order = np.argsort(-mags, kind="stable")
-        return cls(magnitudes=mags[order], signs=np.sign(v), permutation=order)
-
-    def reconstruct(self, magnitudes=None):
-        mags = self.magnitudes if magnitudes is None else np.asarray(magnitudes, dtype=float)
-        out = np.empty_like(mags)
-        out[self.permutation] = mags
-        return self.signs * out
 
 
 def _soft(v, t):

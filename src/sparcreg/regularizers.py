@@ -1,23 +1,36 @@
-"""Regularizer definitions: penalty evaluation and scaled prox dispatch.
+"""Regularizers: one penalty family, its value and its scaled prox.
 
-Four penalties share one interface:
+All four penalties are one family, the ordered weighted l1 (OWL) norm of
+Zeng & Figueiredo with an optional top-k cap and ridge term:
 
-* ``Lasso``       -- lam1 * ||x||_1
-* ``ElasticNet``  -- lam1 * ||x||_1 + (lam2 / 2) * ||x||_2^2
-* ``Oscar``       -- lam1 * ||x||_1 + lam2 * sum_{i<j} max(|x_i|, |x_j|)
-* ``Sparc``       -- indicator of {||x||_0 <= k} plus lam * pairwise max
-                     restricted to the k largest-magnitude positions
+    penalty(x) = sum_{i <= d} (l1 + slope * (d - i)) * |x|_[i]
+                 + (ridge / 2) * ||x||_2^2
 
-``penalty_value`` evaluates the penalty, ``prox`` computes the proximity
-operator of ``penalty / alpha`` (the scalar parameters divide by alpha; the
-sparsity indicator is invariant under positive scaling).
+over the sorted magnitudes |x|_[1] >= |x|_[2] >= ..., with d = p, or
+d = k under a cap, which also makes the penalty +inf unless
+||x||_0 <= k.  Linear weights make the sum
+``l1 * ||x||_1 + slope * sum_{i<j} max(|x_i|, |x_j|)``.  Each member
+maps its fields to the terms (l1 weight, slope, ridge, top-k):
+
+    ==========================  =========  =====  =====  =====
+    member                      l1 weight  slope  ridge  top-k
+    ==========================  =========  =====  =====  =====
+    ``Lasso(lam1)``             lam1       --     --     --
+    ``ElasticNet(lam1, lam2)``  lam1       --     lam2   --
+    ``Oscar(lam1, lam2)``       lam1       lam2   --     --
+    ``Sparc(lam, k)``           0          lam    --     k
+    ==========================  =========  =====  =====  =====
+
+A dash is an absent term (None), not a zero: without a slope the weights
+are constant and need no sort, so ``Oscar(lam1, 0)`` still takes the
+sorted path that ``Lasso(lam1)`` skips.  ``prox`` computes the proximity
+operator of ``penalty / alpha``: the weights divide by alpha, k stays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -27,8 +40,8 @@ from .prox import (  # the public operators stay importable from here
     _check_nonneg,
     _owl,
     _prox_oscar,
-    _prox_sparc,
     _soft,
+    _top_k,
     owl_weights,
     prox_elastic_net,
     prox_oscar,
@@ -37,28 +50,43 @@ from .prox import (  # the public operators stay importable from here
 )
 
 __all__ = [
+    "Regularizer",
     "Lasso",
     "ElasticNet",
     "Oscar",
     "Sparc",
-    "Regularizer",
     "penalty_value",
     "prox",
     "prox_objective",
-    "scale_penalty",
 ]
 
 
+class Regularizer:
+    """A member of the penalty family: a frozen dataclass of its parameters
+    that names its ``method`` and maps its fields to the family's terms."""
+
+    method = ""
+
+    def terms(self):
+        """(l1 weight, slope, ridge, top-k); None marks an absent term."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class Lasso:
+class Lasso(Regularizer):
+    method = "lasso"
     lam1: float
 
     def __post_init__(self):
         _check_nonneg(self.lam1, "lam1")
 
+    def terms(self):
+        return self.lam1, None, None, None
+
 
 @dataclass(frozen=True)
-class ElasticNet:
+class ElasticNet(Regularizer):
+    method = "enet"
     lam1: float
     lam2: float
 
@@ -66,9 +94,13 @@ class ElasticNet:
         _check_nonneg(self.lam1, "lam1")
         _check_nonneg(self.lam2, "lam2")
 
+    def terms(self):
+        return self.lam1, None, self.lam2, None
+
 
 @dataclass(frozen=True)
-class Oscar:
+class Oscar(Regularizer):
+    method = "oscar"
     lam1: float
     lam2: float
 
@@ -76,9 +108,13 @@ class Oscar:
         _check_nonneg(self.lam1, "lam1")
         _check_nonneg(self.lam2, "lam2")
 
+    def terms(self):
+        return self.lam1, self.lam2, None, None
+
 
 @dataclass(frozen=True)
-class Sparc:
+class Sparc(Regularizer):
+    method = "sparc"
     lam: float
     k: int
 
@@ -88,64 +124,77 @@ class Sparc:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
 
+    def terms(self):
+        return 0.0, self.lam, None, self.k
 
-Regularizer = Union[Lasso, ElasticNet, Oscar, Sparc]
+
+# the members by method name, in report order
+_BY_METHOD = {cls.method: cls for cls in (Lasso, ElasticNet, Oscar, Sparc)}
 
 
-def penalty_value(reg, x):
-    """Evaluate the penalty at x (may be +inf for Sparc).
+def _terms(reg):
+    if not isinstance(reg, Regularizer):
+        raise TypeError(f"unknown regularizer {reg!r}")
+    return reg.terms()
 
-    Oscar and Sparc are computed through the ordered-weight form: the sorted
-    magnitudes dotted with ``owl_weights``.  For Sparc the weights span the k
-    retained ranks, so positions holding zeros still count as pair partners
-    when x has fewer than k nonzeros; ``||x||_0`` uses strict equality to
-    zero, since prox outputs contain exact zeros.
+
+def _scale(reg, alpha):
+    """The terms of ``penalty(reg) / alpha``, checked once per candidate.
+
+    The fields are finite and non-negative, so a quotient can only go
+    wrong by overflowing.
     """
-    x = _as_vector(x, "x")
-    if isinstance(reg, Sparc) and not 1 <= reg.k <= x.size:
-        raise ValueError(
-            f"Sparc k must satisfy 1 <= k <= {x.size}, got {reg.k}"
-        )
-    return _penalty(reg, x)
-
-
-def _penalty(reg, x):
-    """``penalty_value`` for a finite 1-D float64 x and, for Sparc, k <= x.size."""
-    if isinstance(reg, Lasso):
-        return float(reg.lam1 * np.abs(x).sum())
-    if isinstance(reg, ElasticNet):
-        return float(reg.lam1 * np.abs(x).sum() + 0.5 * reg.lam2 * (x @ x))
-    if isinstance(reg, Oscar):
-        mags = np.sort(np.abs(x))[::-1]
-        return float(_owl(float(reg.lam1), float(reg.lam2), x.size) @ mags)
-    if isinstance(reg, Sparc):
-        k = reg.k
-        if np.count_nonzero(x) > k:
-            return float("inf")
-        mags = np.sort(np.abs(x))[::-1][:k]
-        return float(_owl(0.0, float(reg.lam), k) @ mags)
-    raise TypeError(f"unknown regularizer {reg!r}")
-
-
-def _check_alpha(alpha):
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return alpha
+    if not isinstance(reg, Regularizer):  # _terms inline: once per candidate
+        raise TypeError(f"unknown regularizer {reg!r}")
+    l1, slope, ridge, k = reg.terms()
+    scaled = (l1 / alpha,
+              None if slope is None else slope / alpha,
+              None if ridge is None else ridge / alpha,
+              k)
+    if math.inf in scaled:
+        raise ValueError(f"{reg!r} / alpha = {alpha!r} overflows")
+    return scaled
 
 
-def scale_penalty(reg, alpha):
-    """The regularizer whose penalty equals ``penalty(reg) / alpha``."""
-    alpha = _check_alpha(alpha)
-    if isinstance(reg, Lasso):
-        return Lasso(reg.lam1 / alpha)
-    if isinstance(reg, ElasticNet):
-        return ElasticNet(reg.lam1 / alpha, reg.lam2 / alpha)
-    if isinstance(reg, Oscar):
-        return Oscar(reg.lam1 / alpha, reg.lam2 / alpha)
-    if isinstance(reg, Sparc):
-        return Sparc(reg.lam / alpha, reg.k)
-    raise TypeError(f"unknown regularizer {reg!r}")
+def _penalty(terms, x):
+    """The penalty of the family terms at a finite 1-D float64 x; k <= x.size.
+
+    With a slope, the sorted magnitudes dotted with ``owl_weights``.  Under
+    a cap the weights span the k retained ranks, so positions holding
+    zeros still count as pair partners when x has fewer than k nonzeros;
+    ``||x||_0`` uses strict equality to zero, since prox outputs contain
+    exact zeros.
+    """
+    l1, slope, ridge, k = terms
+    if slope is None:
+        value = l1 * np.abs(x).sum()
+    elif k is not None and np.count_nonzero(x) > k:
+        return float("inf")
+    else:
+        d = x.size if k is None else k
+        value = _owl(l1, slope, d) @ np.sort(np.abs(x))[::-1][:d]
+    if ridge is not None:
+        value = value + 0.5 * ridge * (x @ x)
+    return float(value)
+
+
+def _checked_penalty(terms, x):
+    if terms[3] is not None:
+        _check_k(terms[3], x.size)
+    return _penalty(terms, x)
+
+
+def penalty_value(reg, x):
+    """Evaluate the penalty at x (+inf off the k-sparse set under a cap)."""
+    return _checked_penalty(_terms(reg), _as_vector(x, "x"))
+
+
+def _shrink(v, l1, slope, ridge):
+    out = _soft(v, l1) if slope is None else _prox_oscar(v, l1, slope)
+    return out if ridge is None else out / (1.0 + ridge)
 
 
 def prox(reg, v, alpha=1.0):
@@ -153,25 +202,19 @@ def prox(reg, v, alpha=1.0):
 
     argmin_x  penalty(reg, x)/alpha + (1/2) ||x - v||^2
 
-    Checks v, alpha, the scaled parameters and (for Sparc) k <= v.size
-    once, then runs the unchecked kernel; the result equals the public
-    operator applied to ``scale_penalty(reg, alpha)``.
+    Soft thresholding without a slope, the sorted OWL prox with one, then
+    the ridge shrink 1/(1 + ridge); a cap applies this to the k largest
+    magnitudes and zeroes the rest.  Checks alpha, the scaled terms, v and
+    k <= v.size once, then runs unchecked kernels.
     """
-    alpha = _check_alpha(alpha)
+    l1, slope, ridge, k = _scale(reg, alpha)
     v = _as_vector(v)
-    if isinstance(reg, Lasso):
-        return _soft(v, _check_nonneg(reg.lam1 / alpha, "lam1"))
-    if isinstance(reg, ElasticNet):
-        lam1 = _check_nonneg(reg.lam1 / alpha, "lam1")
-        lam2 = _check_nonneg(reg.lam2 / alpha, "lam2")
-        return _soft(v, lam1) / (1.0 + lam2)
-    if isinstance(reg, Oscar):
-        return _prox_oscar(v, _check_nonneg(reg.lam1 / alpha, "lam1"),
-                           _check_nonneg(reg.lam2 / alpha, "lam2"))
-    if isinstance(reg, Sparc):
-        return _prox_sparc(v, _check_nonneg(reg.lam / alpha, "lam"),
-                           _check_k(reg.k, v.size))
-    raise TypeError(f"unknown regularizer {reg!r}")
+    if k is None:
+        return _shrink(v, l1, slope, ridge)
+    idx = _top_k(v, _check_k(k, v.size))
+    out = np.zeros_like(v)
+    out[idx] = _shrink(v[idx], l1, slope, ridge)
+    return out
 
 
 def prox_objective(reg, v, z, alpha=1.0):
@@ -179,4 +222,4 @@ def prox_objective(reg, v, z, alpha=1.0):
     v = _as_vector(v)
     z = _as_vector(z, "z")
     d = z - v
-    return penalty_value(scale_penalty(reg, alpha), z) + 0.5 * float(d @ d)
+    return _checked_penalty(_scale(reg, alpha), z) + 0.5 * float(d @ d)

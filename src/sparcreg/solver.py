@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prox import _as_vector, project_k_sparse
-from .regularizers import Sparc, _penalty, penalty_value, prox
+from .regularizers import _penalty, _terms, penalty_value, prox
 
 __all__ = [
     "Objective",
@@ -120,7 +120,7 @@ def objective_value(obj, x):
 def _residual_and_objective(obj, x):
     """Residual A x - y and F(x), sharing one product with A; x is unchecked."""
     r = obj.A @ x - obj.y
-    return r, 0.5 * float(r @ r) + _penalty(obj.reg, x)
+    return r, 0.5 * float(r @ r) + _penalty(obj.reg.terms(), x)
 
 
 def gradient_smooth(obj, x):
@@ -163,9 +163,10 @@ def _initial_point(obj, x0):
         x = _as_vector(x0, "x0").copy()
         if x.size != p:
             raise ValueError(f"x0 has size {x.size}, expected {p}")
-    if isinstance(obj.reg, Sparc):
+    k = _terms(obj.reg)[3]
+    if k is not None:
         # the penalty is +inf off the k-sparse set; start feasible
-        x = project_k_sparse(x, obj.reg.k)
+        x = project_k_sparse(x, k)
     return x
 
 

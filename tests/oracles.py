@@ -8,10 +8,19 @@ them.
 
 import csv
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from sparcreg.data import SPLIT_NAMES, DataError, Dataset
+from sparcreg.prox import (
+    owl_weights,
+    prox_elastic_net,
+    prox_oscar,
+    prox_sparc,
+    soft_threshold,
+)
+from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc
 
 
 def lasso_penalty_direct(z, lam1):
@@ -120,6 +129,91 @@ def prox_bruteforce(kind, params, v, coarse_step, refine_to=1e-4):
         h = h / 5.0
         axes = [_axis_grid(best_z[j], 2.0 * 5.0 * h, h) for j in range(p)]
     return best_val, best_z
+
+
+# ------------------------------------- per-class penalty and prox chains
+#
+# Unlike the literal oracles above, these reuse the public operators: one
+# branch per regularizer class, in the same floating-point operations as
+# the family's kernels, so the family can be compared with them bit for
+# bit.
+
+def scale_penalty(reg, alpha):
+    """The regularizer whose penalty equals ``penalty(reg) / alpha``,
+    built class by class."""
+    if isinstance(reg, Lasso):
+        return Lasso(reg.lam1 / alpha)
+    if isinstance(reg, ElasticNet):
+        return ElasticNet(reg.lam1 / alpha, reg.lam2 / alpha)
+    if isinstance(reg, Oscar):
+        return Oscar(reg.lam1 / alpha, reg.lam2 / alpha)
+    if isinstance(reg, Sparc):
+        return Sparc(reg.lam / alpha, reg.k)
+    raise TypeError(reg)
+
+
+def prox_per_class(reg, v, alpha):
+    """``scale_penalty`` followed by the class's public prox operator."""
+    scaled = scale_penalty(reg, alpha)
+    if isinstance(scaled, Lasso):
+        return soft_threshold(v, scaled.lam1)
+    if isinstance(scaled, ElasticNet):
+        return prox_elastic_net(v, scaled.lam1, scaled.lam2)
+    if isinstance(scaled, Oscar):
+        return prox_oscar(v, scaled.lam1, scaled.lam2)
+    return prox_sparc(v, scaled.lam, scaled.k)
+
+
+def penalty_per_class(reg, x):
+    """The penalty at a 1-D float64 x, one branch per class."""
+    if isinstance(reg, Lasso):
+        return float(reg.lam1 * np.abs(x).sum())
+    if isinstance(reg, ElasticNet):
+        return float(reg.lam1 * np.abs(x).sum() + 0.5 * reg.lam2 * (x @ x))
+    if isinstance(reg, Oscar):
+        mags = np.sort(np.abs(x))[::-1]
+        return float(owl_weights(reg.lam1, reg.lam2, x.size) @ mags)
+    if isinstance(reg, Sparc):
+        k = reg.k
+        if np.count_nonzero(x) > k:
+            return float("inf")
+        mags = np.sort(np.abs(x))[::-1][:k]
+        return float(owl_weights(0.0, reg.lam, k) @ mags)
+    raise TypeError(reg)
+
+
+def prox_objective_per_class(reg, v, z, alpha):
+    d = z - v
+    return (penalty_per_class(scale_penalty(reg, alpha), z)
+            + 0.5 * float(d @ d))
+
+
+@dataclass(frozen=True)
+class SortedMagnitudeView:
+    """Decomposition of a vector into sorted magnitudes, signs and a permutation.
+
+    ``magnitudes`` is non-increasing; ``permutation[i]`` is the original index
+    of the i-th largest magnitude (ties keep the lower original index first).
+    ``reconstruct(magnitudes)`` recovers the original vector exactly.
+    """
+
+    magnitudes: np.ndarray
+    signs: np.ndarray
+    permutation: np.ndarray
+
+    @classmethod
+    def from_vector(cls, v):
+        v = np.asarray(v, dtype=float)
+        mags = np.abs(v)
+        order = np.argsort(-mags, kind="stable")
+        return cls(magnitudes=mags[order], signs=np.sign(v), permutation=order)
+
+    def reconstruct(self, magnitudes=None):
+        mags = (self.magnitudes if magnitudes is None
+                else np.asarray(magnitudes, dtype=float))
+        out = np.empty_like(mags)
+        out[self.permutation] = mags
+        return self.signs * out
 
 
 # ------------------------------------------------- isotonic by enumeration

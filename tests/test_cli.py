@@ -282,6 +282,46 @@ class TestFit:
                          "--method", "lasso", "--outdir", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("fit_args, other, message", [
+        (["--method", "lasso", "--lambda2", "0.5", "--k", "3"],
+         ["prox", "--lasso", "--lambda1", "1", "--lambda2", "0.5", "--k", "3",
+          "--vec", "1"],
+         "--lambda2 is not a --lasso parameter"),
+        (["--method", "lasso", "--k", "3"],
+         ["prox", "--lasso", "--lambda1", "1", "--k", "3", "--vec", "1"],
+         "--k is not a --lasso parameter"),
+        (["--method", "sparc", "--lambda1", "0.1"],
+         ["prox", "--sparc", "--lambda", "1", "--k", "1", "--lambda1", "0.1",
+          "--vec", "1"],
+         "--lambda1 is not a --sparc parameter"),
+        (["--method", "enet", "--lambda", "0.1"],
+         ["prox", "--enet", "--lambda1", "1", "--lambda2", "1",
+          "--lambda", "0.1", "--vec", "1"],
+         "--lambda is not a --enet parameter"),
+        (["--method", "lasso", "--lambda-grid", ","],
+         ["synth", "--methods", "lasso", "--lambda-grid", ","],
+         "empty penalty grid"),
+        (["--method", "sparc", "--lambda", "0.01", "--k", "50"], None, None),
+    ], ids=["lasso-lambda2-k", "lasso-k", "sparc-lambda1", "enet-lambda",
+            "empty-lambda-grid", "k-above-p-clamped"])
+    def test_flags_agree_with_prox_and_synth(self, capsys, planted_csv,
+                                            tmp_path, fit_args, other,
+                                            message):
+        code, out, err = run(capsys, "fit", str(planted_csv),
+                             "--label", "label", "--task", "regression",
+                             "--outdir", str(tmp_path / "fit"), "--json",
+                             *fit_args)
+        if message is None:
+            # a given k above p = 6 is clamped to p
+            assert code == 0
+            assert json.loads(out)["selected"] == {
+                "type": "sparc", "lam": 0.01, "k": 6}
+            return
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        if other[0] == "synth":
+            other = other + ["--outdir", str(tmp_path / "synth")]
+        assert run(capsys, *other) == (code, out, err)
+
 
 class TestDescribe:
     def test_regression_summary(self, capsys, tmp_path):
@@ -362,6 +402,14 @@ class TestDescribe:
         path.write_text("a,label\n")
         code, _, _ = run(capsys, "describe", str(path))
         assert code == 1
+
+    def test_split_column_only(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("split\ntrain\n")
+        code, out, err = run(capsys, "describe", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: no feature columns left after label/split\n"
 
 
 class TestConfigFile:

@@ -150,7 +150,9 @@ class TestCsvRoundTrip:
         (("a", " y "), "y", False, "y"),
         (("a", "b"), "split", True, "split"),
         (("a", "a"), "label", False, "a"),
-    ], ids=["label", "split", "stripped", "label-is-split", "features"])
+        (("split", "b"), "label", False, "split"),
+    ], ids=["label", "split", "stripped", "label-is-split", "features",
+            "split-not-written"])
     def test_clashing_column_names_rejected(self, tmp_path, features,
                                             label_column, split, clash):
         ds = Dataset(np.ones((3, 2)), [1.0, 2.0, 3.0], "regression",

@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from sparcreg.prox import (
-    SortedMagnitudeView,
     isotonic_decreasing,
     owl_weights,
     project_k_sparse,
@@ -14,7 +13,7 @@ from sparcreg.prox import (
     top_k_support,
 )
 
-from oracles import isotonic_decreasing_bruteforce
+from oracles import SortedMagnitudeView, isotonic_decreasing_bruteforce
 
 
 class TestSoftThreshold:
@@ -225,6 +224,8 @@ class TestProxSparc:
 
 
 class TestSortedMagnitudeView:
+    """The oracle view that ``_prox_oscar_full_pava`` is built on."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

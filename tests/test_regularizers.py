@@ -8,16 +8,19 @@ from sparcreg.regularizers import (
     Lasso,
     Oscar,
     Sparc,
+    _scale,
     penalty_value,
     prox,
     prox_objective,
-    scale_penalty,
 )
 
 from oracles import (
     enet_penalty_direct,
     lasso_penalty_direct,
     oscar_penalty_direct,
+    penalty_per_class,
+    prox_objective_per_class,
+    prox_per_class,
     sparc_penalty_direct,
 )
 
@@ -84,17 +87,20 @@ class TestPenaltyValue:
 
 
 class TestScalePenalty:
+    """The family's scaling rule: penalty / alpha divides every weight."""
+
     def test_divides_scalar_parameters(self):
-        assert scale_penalty(Lasso(2.0), 4.0) == Lasso(0.5)
-        assert scale_penalty(ElasticNet(2.0, 1.0), 2.0) == ElasticNet(1.0, 0.5)
-        assert scale_penalty(Oscar(3.0, 6.0), 3.0) == Oscar(1.0, 2.0)
+        assert _scale(Lasso(2.0), 4.0) == Lasso(0.5).terms()
+        assert (_scale(ElasticNet(2.0, 1.0), 2.0)
+                == ElasticNet(1.0, 0.5).terms())
+        assert _scale(Oscar(3.0, 6.0), 3.0) == Oscar(1.0, 2.0).terms()
 
     def test_sparc_k_is_not_scaled(self):
-        assert scale_penalty(Sparc(2.0, 5), 4.0) == Sparc(0.5, 5)
+        assert _scale(Sparc(2.0, 5), 4.0) == Sparc(0.5, 5).terms()
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
-            scale_penalty(Lasso(1.0), 0.0)
+            _scale(Lasso(1.0), 0.0)
 
 
 class TestProxDispatch:
@@ -125,21 +131,12 @@ class TestProxDispatch:
 
 
 class TestProxKernels:
-    """prox runs unchecked kernels; it must match the checked operators."""
+    """prox, penalty_value and prox_objective work once on the family's
+    terms; they must match the per-class chains bit for bit."""
 
     @staticmethod
-    def _composed(reg, v, alpha):
-        scaled = scale_penalty(reg, alpha)
-        if isinstance(scaled, Lasso):
-            return soft_threshold(v, scaled.lam1)
-        if isinstance(scaled, ElasticNet):
-            return prox_elastic_net(v, scaled.lam1, scaled.lam2)
-        if isinstance(scaled, Oscar):
-            return prox_oscar(v, scaled.lam1, scaled.lam2)
-        return prox_sparc(v, scaled.lam, scaled.k)
-
-    def test_matches_scaled_public_operators_bit_for_bit(self):
-        rng = np.random.default_rng(29)
+    def _cases(seed):
+        rng = np.random.default_rng(seed)
         for _ in range(300):
             p = int(rng.integers(1, 51))
             v = np.round(rng.normal(0, 2, size=p), int(rng.integers(0, 3)))
@@ -147,10 +144,31 @@ class TestProxKernels:
             alpha = float(np.exp(rng.normal(0, 2)))
             a, b = float(rng.exponential()), float(rng.exponential())
             k = int(rng.integers(1, p + 1))
-            for reg in (Lasso(a), ElasticNet(a, b), Oscar(a, b / p),
-                        Oscar(0.0, b), Sparc(b, k)):
+            # a zero slope or ridge must keep its member's path
+            regs = (Lasso(a), ElasticNet(a, b), Oscar(a, b / p),
+                    Oscar(0.0, b), Sparc(b, k), Oscar(a, 0.0),
+                    Sparc(0.0, k), ElasticNet(a, 0.0))
+            yield rng, v, alpha, regs
+
+    def test_matches_scaled_public_operators_bit_for_bit(self):
+        for _, v, alpha, regs in self._cases(29):
+            for reg in regs:
                 assert (prox(reg, v, alpha).tobytes()
-                        == self._composed(reg, v, alpha).tobytes()), reg
+                        == prox_per_class(reg, v, alpha).tobytes()), reg
+
+    def test_penalty_and_prox_objective_match_bit_for_bit(self):
+        # objective bits decide line-search acceptance, hence the reports
+        for rng, v, alpha, regs in self._cases(31):
+            for reg in regs:
+                for x in (v, prox(reg, v, alpha),
+                          v + np.round(rng.normal(size=v.size), 1)):
+                    assert (np.float64(penalty_value(reg, x)).tobytes()
+                            == np.float64(penalty_per_class(reg, x)).tobytes()
+                            ), reg
+                    assert (np.float64(prox_objective(reg, v, x, alpha))
+                            .tobytes()
+                            == np.float64(prox_objective_per_class(
+                                reg, v, x, alpha)).tobytes()), reg
 
     @pytest.mark.parametrize("v, alpha", [
         ([1.0, np.nan], 1.0),

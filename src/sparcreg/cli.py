@@ -253,10 +253,9 @@ def _parse_fractions(text):
 def _fit_grid(args, p, given):
     """default_grids' grid for --method, with the given parameters pinning
     their axis; a given k above p is clamped to p."""
-    if "k" in given:
-        given["k"] = min(given["k"], p)
     axes = _grid_axes(args, p)
-    axes.update((name, (value,)) for name, value in given.items())
+    axes.update((name, (min(value, p) if name == "k" else value,))
+                for name, value in given.items())
     return _grids((args.method,), axes)
 
 
@@ -277,6 +276,11 @@ def cmd_fit(args):
     fractions = _parse_fractions(args.split)
     cfg = _solver_config(args)
     given = _given_fields(args, args.method)
+    if args.screen is not None and args.screen < 1:
+        raise CliError(f"--screen must be >= 1, got {args.screen}")
+    # check every penalty value and k before reading the CSV: a grid for
+    # one feature holds them all (the k axis for the real p comes later)
+    _fit_grid(args, 1, given)
     ds = load_csv(args.csv, args.label, args.task)
     try:
         ds = split_dataset(ds, fractions, args.seed)
@@ -284,8 +288,6 @@ def cmd_fit(args):
         raise CliError(str(exc)) from None
     kept = None
     if args.screen is not None:
-        if args.screen < 1:
-            raise CliError(f"--screen must be >= 1, got {args.screen}")
         ds, kept = top_correlation_screen(ds, args.screen)
     ds, scales = normalize_dataset(ds, args.normalization)
     grids = _fit_grid(args, ds.p, given)

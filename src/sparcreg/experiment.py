@@ -100,8 +100,11 @@ def _axes(p, lam_grid=None, k_grid=None):
         raise ValueError("empty penalty grid")
     if k_grid is None:
         k_grid = (5, 10, 15, 20, 25)
-    ks = tuple(sorted((int(k) for k in k_grid if 1 <= int(k) <= p),
-                      reverse=True))
+    k_grid = [int(k) for k in k_grid]
+    for k in k_grid:
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+    ks = tuple(sorted((k for k in k_grid if k <= p), reverse=True))
     if not ks:
         ks = (int(p),)
     return {"lam1": lam, "lam2": lam, "lam": lam, "k": ks}
@@ -120,7 +123,8 @@ def default_grids(p, lam_grid=None, k_grid=None):
 
     The scalar penalties share a 10-point logarithmic grid from 1e-3 to
     10; two-parameter methods take the full product.  The sparsity levels
-    default to {5, 10, 15, 20, 25} filtered to k <= p.
+    default to {5, 10, 15, 20, 25} filtered to k <= p, or (p,) when no
+    level is at most p; a level below 1 raises ValueError.
 
     Grid order is part of the design: every axis sweeps from strong to
     weak regularization, so warm starts follow the usual continuation
@@ -148,9 +152,11 @@ def grid_search(ds, grid, config=None):
     grid = tuple(grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    A_tr, y_tr = ds.part("train")
+    # one Objective holds the train rows in the layout the solver picks
+    # for their size; every grid point's is derived from it
+    train = Objective(*ds.part("train"), grid[0])
     A_val, y_val = ds.part("validation")
-    if A_tr.shape[0] == 0 or A_val.shape[0] == 0:
+    if train.A.shape[0] == 0 or A_val.shape[0] == 0:
         raise ValueError("train and validation splits must be non-empty")
     cfg = config if config is not None else SolverConfig()
 
@@ -161,7 +167,7 @@ def grid_search(ds, grid, config=None):
         if reg in cache:
             e = cache[reg]
         else:
-            res = sparsa_solve(Objective(A_tr, y_tr, reg), x0=x_warm,
+            res = sparsa_solve(replace(train, reg=reg), x0=x_warm,
                                config=cfg)
             e = res.x
             cache[reg] = e

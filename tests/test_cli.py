@@ -131,6 +131,17 @@ class TestSynth:
         for name in ("report.csv", "report.json", "profile.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("k_grid", ["0,-3", "-1", "5,0"])
+    def test_k_below_one_rejected(self, capsys, tmp_path, k_grid):
+        code, out, err = run(capsys, "synth", "--reps", "1",
+                             "--methods", "sparc", "--k-grid", k_grid,
+                             "--lambda-grid", "1", "--json",
+                             "--outdir", str(tmp_path))
+        bad = next(k for k in k_grid.split(",") if int(k) < 1)
+        assert (code, out) == (2, "")
+        assert err == f"error: k must be a positive integer, got {bad}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--reps", "1",
                            "--methods", "lasso", "--lambda-grid", "1",
@@ -281,6 +292,25 @@ class TestFit:
                          "--label", "label", "--task", "regression",
                          "--method", "lasso", "--outdir", str(tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--lambda-grid", ","], "empty penalty grid"),
+        (["--lambda-grid=-1"], "lam1 must be finite and non-negative, "
+                               "got -1.0"),
+        (["--screen", "0"], "--screen must be >= 1, got 0"),
+        (["--method", "sparc", "--k-grid", "0,-3"],
+         "k must be a positive integer, got 0"),
+        (["--method", "sparc", "--k", "0"],
+         "k must be a positive integer, got 0"),
+    ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
+            "k-0"])
+    def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
+                                                  bad, message):
+        code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),
+                             "--label", "label", "--task", "regression",
+                             "--method", "lasso", *bad,
+                             "--outdir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("fit_args, other, message", [
         (["--method", "lasso", "--lambda2", "0.5", "--k", "3"],

@@ -70,6 +70,19 @@ class TestDefaultGrids:
         with pytest.raises(ValueError):
             default_grids(10, lam_grid=[])
 
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError,
+                           match="k must be a positive integer, got 0"):
+            default_grids(10, k_grid=[0, -3])
+        with pytest.raises(ValueError, match="got -3"):
+            default_grids(10, k_grid=[4, -3])
+
+    def test_k_above_p_still_falls_back_to_p(self):
+        assert {r.k for r in default_grids(10, k_grid=[12, 40]).sparc} \
+            == {10}
+        assert [r.k for r in default_grids(10, k_grid=[4, 12]).sparc[:1]] \
+            == [4]
+
 
 class TestGridSpec:
     def test_wrong_type_rejected(self):

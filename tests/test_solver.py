@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +10,9 @@ from sparcreg.solver import (
     Objective,
     SolverConfig,
     SolverDivergenceError,
+    _SUPPORT_PRODUCTS_MIN_SIZE,
     _residual_and_objective,
+    _times_A,
     bb_step,
     gradient_smooth,
     objective_value,
@@ -254,3 +258,76 @@ class TestTermination:
         assert np.isinf(A.T @ y).any()
         with pytest.raises(SolverDivergenceError):
             sparsa_solve(Objective(A, y, reg))
+
+
+class TestSupportProducts:
+    """Designs from 2**16 entries on multiply through the nonzero columns."""
+
+    # 40 x 1700 = 68 000 entries, just above the rule; 40 x 1638 just below
+    ABOVE, BELOW = (40, 1700), (40, 1638)
+
+    def _problem(self, shape, seed=0):
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        A = rng.normal(0, 1, size=(n, p)) / np.sqrt(n)
+        x_true = np.zeros(p)
+        x_true[rng.choice(p, 8, replace=False)] = rng.normal(0, 2, size=8)
+        y = A @ x_true + 0.1 * rng.normal(0, 1, size=n)
+        return A, y
+
+    def test_shapes_straddle_the_rule(self):
+        assert np.prod(self.BELOW) < _SUPPORT_PRODUCTS_MIN_SIZE \
+            <= np.prod(self.ABOVE)
+
+    @pytest.mark.parametrize("support", ["empty", "one", "partial", "full"])
+    def test_restricted_product_matches_dense(self, support):
+        A, y = self._problem(self.ABOVE)
+        obj = Objective(A, y, Lasso(0.1))
+        rng = np.random.default_rng(1)
+        p = A.shape[1]
+        x = np.zeros(p)
+        idx = {"empty": [], "one": [17], "full": np.arange(p),
+               "partial": rng.choice(p, 60, replace=False)}[support]
+        x[idx] = rng.normal(0, 1, size=len(idx))
+        dense = A @ x
+        got = _times_A(obj, x)
+        assert got.shape == dense.shape
+        assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+        if support == "empty":
+            assert not got.any()
+
+    @pytest.mark.parametrize("shape", [(20, 40), BELOW],
+                             ids=["p40", "just-below"])
+    def test_below_the_rule_products_are_dense_bit_for_bit(self, shape):
+        A, y = self._problem(shape)
+        obj = Objective(A, y, Sparc(0.1, 5))
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            x = rng.normal(0, 1, size=shape[1])
+            x[rng.random(shape[1]) < rng.random()] = 0.0
+            assert _times_A(obj, x).tobytes() == (A @ x).tobytes()
+            r, _ = _residual_and_objective(obj, x)
+            assert r.tobytes() == (A @ x - y).tobytes()
+
+    @pytest.mark.parametrize("reg", [Lasso(0.05), ElasticNet(0.05, 0.1),
+                                     Oscar(0.05, 1e-4), Sparc(0.01, 6)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_above_the_rule_solve_is_consistent(self, reg):
+        A, y = self._problem(self.ABOVE)
+        obj = Objective(A, y, reg)
+        res = sparsa_solve(obj)
+        assert res.trace[-1] == objective_value(obj, res.x)
+        assert np.all(np.diff(res.trace) <= 0)
+        if isinstance(reg, Sparc):
+            assert np.count_nonzero(res.x) <= reg.k
+
+    def test_column_major_only_above_the_rule(self):
+        A_small, y_small = self._problem(self.BELOW)
+        A_large, y_large = self._problem(self.ABOVE)
+        small = Objective(A_small, y_small, Lasso(0.1))
+        large = Objective(A_large, y_large, Lasso(0.1))
+        assert small.A.flags.c_contiguous and not small.A.flags.f_contiguous
+        assert large.A.flags.f_contiguous and not large.A.flags.c_contiguous
+        assert np.array_equal(large.A, A_large)
+        # an objective derived for another penalty shares the copy
+        assert replace(large, reg=Sparc(0.1, 3)).A is large.A

@@ -101,6 +101,8 @@ def _axes(p, lam_grid=None, k_grid=None):
     if k_grid is None:
         k_grid = (5, 10, 15, 20, 25)
     k_grid = [int(k) for k in k_grid]
+    if not k_grid:
+        raise ValueError("empty sparsity grid")
     for k in k_grid:
         if k < 1:
             raise ValueError(f"k must be a positive integer, got {k}")
@@ -123,8 +125,8 @@ def default_grids(p, lam_grid=None, k_grid=None):
 
     The scalar penalties share a 10-point logarithmic grid from 1e-3 to
     10; two-parameter methods take the full product.  The sparsity levels
-    default to {5, 10, 15, 20, 25} filtered to k <= p, or (p,) when no
-    level is at most p; a level below 1 raises ValueError.
+    default to {5, 10, 15, 20, 25} filtered to k <= p, or (p,) when every
+    level exceeds p.  An empty grid, or a level below 1, raises ValueError.
 
     Grid order is part of the design: every axis sweeps from strong to
     weak regularization, so warm starts follow the usual continuation
@@ -152,8 +154,8 @@ def grid_search(ds, grid, config=None):
     grid = tuple(grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    # one Objective holds the train rows in the layout the solver picks
-    # for their size; every grid point's is derived from it
+    # one Objective checks the train rows and holds them in the layout the
+    # solver picks for their size; every grid point's is derived from it
     train = Objective(*ds.part("train"), grid[0])
     A_val, y_val = ds.part("validation")
     if train.A.shape[0] == 0 or A_val.shape[0] == 0:
@@ -167,8 +169,7 @@ def grid_search(ds, grid, config=None):
         if reg in cache:
             e = cache[reg]
         else:
-            res = sparsa_solve(replace(train, reg=reg), x0=x_warm,
-                               config=cfg)
+            res = sparsa_solve(train._with_reg(reg), x0=x_warm, config=cfg)
             e = res.x
             cache[reg] = e
         x_warm = e

@@ -88,8 +88,10 @@ def prox_elastic_net(v, lam1, lam2):
     return _soft(v, lam1) / (1.0 + lam2)
 
 
-def _owl(lam1, lam2, d):
-    return lam1 + lam2 * np.arange(d - 1, -1, -1, dtype=float)
+def _owl(lam1, lam2, d, head=None):
+    # the first ``head`` (default all d) of the d weights
+    stop = -1 if head is None else d - 1 - head
+    return lam1 + lam2 * np.arange(d - 1, stop, -1, dtype=float)
 
 
 def owl_weights(lam1, lam2, d):
@@ -156,20 +158,33 @@ def isotonic_decreasing(u):
 
 
 def _prox_oscar(v, lam1, lam2):
+    """prox_oscar's kernel; sorts only the magnitudes above lam1.
+
+    Every weight is at least lam1, so an entry with |v_i| <= lam1 has
+    u_i <= 0 and clips to zero, and such entries are the trailing ranks of
+    the full stable sort.  Sorting the rest therefore gives exactly the
+    leading ranks of the full order, and the result is bit-for-bit that of
+    sorting all p magnitudes.
+    """
     mags = np.abs(v)
-    order = np.argsort(-mags, kind="stable")
-    u = mags[order] - _owl(lam1, lam2, v.size)
-    if not _is_non_increasing(u):
+    top = (mags > lam1).nonzero()[0]
+    order = top[np.argsort(-mags[top], kind="stable")]
+    u = mags[order] - _owl(lam1, lam2, v.size, top.size)
+    if not _is_non_increasing(u) or (
+            # u is feasible but has a tie: PAVA, which pools ties (and so
+            # changes them in the last bit), runs iff the full u is
+            # infeasible, which the sorted values of all ranks decide
+            top.size < v.size and not (u[1:] < u[:-1]).all()
+            and not _is_non_increasing(np.sort(mags)[::-1]
+                                       - _owl(lam1, lam2, v.size))):
         # Entries after the last positive one pool only into blocks whose
         # mean is <= 0, which never merge into a positive block and clip to
         # zero anyway, so PAVA runs on the prefix up to that entry alone.
-        # Feasibility is tested on the whole of u: PAVA pools ties, so it
-        # may change a feasible prefix in the last bit.
         positive = (u > 0).nonzero()[0]
         m = positive[-1] + 1 if positive.size else 0
         u[:m] = _pava(u[:m])
         u[m:] = 0.0
-    out = np.empty_like(u)
+    out = np.zeros(v.size)
     out[order] = np.maximum(u, 0.0)
     return np.sign(v) * out
 
@@ -179,7 +194,10 @@ def prox_oscar(v, lam1, lam2):
 
     Sort magnitudes in decreasing order, subtract the per-rank weights,
     project onto the non-increasing cone, clip at zero, then restore signs
-    and the original order.  Magnitude order and signs are preserved:
+    and the original order.  Only the magnitudes above lam1 are sorted:
+    every weight is at least lam1, so the others come out zero.  The result
+    is bit-for-bit that of sorting all of them.  Magnitude order and signs
+    are preserved:
     |v_i| >= |v_j| implies |out_i| >= |out_j| and sign(out_i) is either 0
     or sign(v_i).
     """

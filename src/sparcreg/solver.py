@@ -67,9 +67,11 @@ class Objective:
     """Least-squares data term plus a regularizer.
 
     A is (n, p), y is (n,).  Rows are samples; the fit term is
-    (1/2) * ||A x - y||^2 with no 1/n factor.  An A of at least 2**16
-    entries is stored column-major (a copy unless it already is), so
-    derive the objectives of one design with ``dataclasses.replace``.
+    (1/2) * ||A x - y||^2 with no 1/n factor.  Building one checks that A
+    and y are finite and stores an A of at least 2**16 entries
+    column-major (a copy unless it already is); ``_with_reg`` derives the
+    objective of another regularizer on the same design without repeating
+    either.
     """
 
     A: np.ndarray
@@ -93,6 +95,14 @@ class Objective:
             A = np.asfortranarray(A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
+
+    def _with_reg(self, reg):
+        """This objective with ``reg``, sharing the checked A and y."""
+        obj = object.__new__(Objective)
+        object.__setattr__(obj, "A", self.A)
+        object.__setattr__(obj, "y", self.y)
+        object.__setattr__(obj, "reg", reg)
+        return obj
 
 
 @dataclass(frozen=True)

@@ -302,8 +302,9 @@ class TestFit:
          "k must be a positive integer, got 0"),
         (["--method", "sparc", "--k", "0"],
          "k must be a positive integer, got 0"),
+        (["--method", "sparc", "--k-grid", ","], "empty sparsity grid"),
     ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
-            "k-0"])
+            "k-0", "empty-k-grid"])
     def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
                                                   bad, message):
         code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),
@@ -331,9 +332,13 @@ class TestFit:
         (["--method", "lasso", "--lambda-grid", ","],
          ["synth", "--methods", "lasso", "--lambda-grid", ","],
          "empty penalty grid"),
+        (["--method", "sparc", "--k-grid", ","],
+         ["synth", "--methods", "sparc", "--k-grid", ",", "--lambda-grid",
+          "1"],
+         "empty sparsity grid"),
         (["--method", "sparc", "--lambda", "0.01", "--k", "50"], None, None),
     ], ids=["lasso-lambda2-k", "lasso-k", "sparc-lambda1", "enet-lambda",
-            "empty-lambda-grid", "k-above-p-clamped"])
+            "empty-lambda-grid", "empty-k-grid", "k-above-p-clamped"])
     def test_flags_agree_with_prox_and_synth(self, capsys, planted_csv,
                                             tmp_path, fit_args, other,
                                             message):

@@ -70,6 +70,10 @@ class TestDefaultGrids:
         with pytest.raises(ValueError):
             default_grids(10, lam_grid=[])
 
+    def test_empty_sparsity_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty sparsity grid"):
+            default_grids(10, k_grid=[])
+
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError,
                            match="k must be a positive integer, got 0"):
@@ -136,6 +140,34 @@ class TestGridSearch:
         ds = generate_synthetic(_tiny_spec())
         with pytest.raises(ValueError):
             grid_search(ds, ())
+
+    def test_design_checked_once_per_search(self, monkeypatch):
+        # every grid point's Objective shares the train one's checked arrays
+        from sparcreg.data import generate_synthetic
+        from sparcreg.solver import Objective
+        checked = []
+        check = Objective.__post_init__
+
+        def counting_check(obj):
+            checked.append(obj.reg)
+            check(obj)
+
+        solved = []
+        solve = experiment.sparsa_solve
+
+        def recording_solve(obj, **kwargs):
+            solved.append(obj)
+            return solve(obj, **kwargs)
+
+        monkeypatch.setattr(Objective, "__post_init__", counting_check)
+        monkeypatch.setattr(experiment, "sparsa_solve", recording_solve)
+        ds = generate_synthetic(_tiny_spec())
+        grid = _tiny_grids().oscar + _tiny_grids().sparc
+        grid_search(ds, grid)
+        assert checked == [grid[0]]
+        assert [obj.reg for obj in solved] == list(grid)
+        assert all(obj.A is solved[0].A and obj.y is solved[0].y
+                   for obj in solved)
 
 
 class TestRunRepetitions:

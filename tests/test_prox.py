@@ -13,6 +13,8 @@ from sparcreg.prox import (
     top_k_support,
 )
 
+from sparcreg.regularizers import Sparc, prox
+
 from oracles import SortedMagnitudeView, isotonic_decreasing_bruteforce
 
 
@@ -124,19 +126,55 @@ class TestProxOscar:
         ([0.0, 2.0, 0.0, -2.0, 1.0, 0.0], 0.1, 0.3),  # exact zeros and ties
         ([1.0, -0.5, 0.25], 10.0, 10.0),              # every u <= 0
         ([0.0, 0.0, 0.0], 0.0, 1.0),
+        # magnitudes equal to lam1 are not sorted; their u is exactly 0
+        ([0.5, -0.5, 1.0, 0.25, -2.0, 0.5], 0.5, 0.1),
+        ([0.5, -0.5, 1.0, 0.25, -2.0, 0.5], 0.5, 0.0),
+        # lam1 = 0, as under a SPARC cap: the exact zeros are not sorted
+        ([0.0, -3.0, 0.0, 2.5, 0.0, -2.5, 1.0], 0.0, 0.2),
     ], ids=["tied-prefix", "lam2-zero", "zeros-and-ties", "all-nonpositive",
-            "all-zero"])
+            "all-zero", "at-lam1", "at-lam1-lam2-zero", "lam1-zero-zeros"])
     def test_matches_full_pava_bit_for_bit(self, v, lam1, lam2):
         v = np.array(v)
         assert (prox_oscar(v, lam1, lam2).tobytes()
                 == _prox_oscar_full_pava(v, lam1, lam2).tobytes())
 
+    @pytest.mark.parametrize("lam1", [0.0, 2.0 ** -70])
+    @pytest.mark.parametrize("v, pooled", [
+        # full u = [0.1, 0.1, 0.1, -2^-60 - lam1, -lam1] is infeasible, so
+        # PAVA runs and pools the tie to 0.3000...04 / 3
+        ([0.1, -0.1, 0.1, 0.0, 0.0], True),
+        # full u = [0.1, 0.1, 0.1, -lam1] is feasible and comes back unchanged
+        ([0.1, -0.1, 0.1, 0.0], False),
+    ], ids=["infeasible", "feasible"])
+    def test_tied_prefix_depends_on_the_unsorted_ranks(self, v, pooled,
+                                                       lam1):
+        # only the three nonzero magnitudes exceed lam1 and are sorted
+        v = np.array(v)
+        out = prox_oscar(v, lam1, 2.0 ** -60)
+        tie = 0.10000000000000002 if pooled else 0.1
+        assert np.abs(out[:3]).tolist() == [tie] * 3
+        assert out.tobytes() == _prox_oscar_full_pava(v, lam1,
+                                                      2.0 ** -60).tobytes()
+
+    def test_large_p_with_few_magnitudes_above_lam1(self):
+        rng = np.random.default_rng(17)
+        v = rng.normal(0.0, 0.01, size=10_000)
+        v[rng.choice(v.size, 15, replace=False)] = rng.normal(0.0, 2.0, 15)
+        v[:3] = [0.5, -0.5, 0.5]  # a tie among the sorted ranks
+        lam1 = 0.1
+        assert np.count_nonzero(np.abs(v) > lam1) == 18
+        for lam2 in (0.0, 1e-5, 1e-3):
+            assert (prox_oscar(v, lam1, lam2).tobytes()
+                    == _prox_oscar_full_pava(v, lam1, lam2).tobytes())
+
     def test_matches_full_pava_bit_for_bit_random(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
-            p = int(rng.integers(1, 30))
+            p = int(rng.integers(1, 301))
             v = rng.integers(-3, 4, size=p) * float(rng.choice([1.0, 0.1]))
-            lam1 = float(rng.choice([0.0, 0.1, rng.exponential()]))
+            # lam1 at one of the magnitudes cuts the vector there
+            lam1 = float(rng.choice([0.0, 0.1, rng.exponential(),
+                                     rng.choice(np.abs(v))]))
             lam2 = float(rng.choice([0.0, 0.05, rng.exponential() / p]))
             assert (prox_oscar(v, lam1, lam2).tobytes()
                     == _prox_oscar_full_pava(v, lam1, lam2).tobytes())
@@ -215,6 +253,17 @@ class TestProxSparc:
         v = np.array([4.0, -1.0, 2.5, 0.3])
         npt.assert_array_equal(prox_sparc(v, 0.0, 2),
                                project_k_sparse(v, 2))
+
+    def test_large_p_penalty_prox_matches_full_pava(self):
+        # fewer nonzeros than k, so the cap's support holds exact zeros
+        rng = np.random.default_rng(19)
+        v = np.zeros(10_000)
+        v[rng.choice(v.size, 30, replace=False)] = rng.integers(-4, 5, 30) / 4
+        reg, alpha = Sparc(0.3, 50), 2.0
+        idx = top_k_support(v, 50)
+        expected = np.zeros_like(v)
+        expected[idx] = _prox_oscar_full_pava(v[idx], 0.0, 0.3 / alpha)
+        assert prox(reg, v, alpha).tobytes() == expected.tobytes()
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ variable SPARCREG_OUTDIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -260,16 +261,18 @@ def _fit_grid(args, p, given):
 
 
 def _write_coefficients(path, names, e, scales):
-    with open(path, "w", encoding="utf-8") as fh:
-        header = "feature,coefficient"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # csv quotes a name only when it must, such as one holding a comma
+        writer = csv.writer(fh, lineterminator="\n")
+        header = ["feature", "coefficient"]
         if scales is not None:
-            header += ",coefficient_raw"
-        fh.write(header + "\n")
+            header.append("coefficient_raw")
+        writer.writerow(header)
         for j, name in enumerate(names):
-            row = f"{name},{repr(float(e[j]))}"
+            row = [name, repr(float(e[j]))]
             if scales is not None:
-                row += f",{repr(float(e[j] / scales[j]))}"
-            fh.write(row + "\n")
+                row.append(repr(float(e[j] / scales[j])))
+            writer.writerow(row)
 
 
 def cmd_fit(args):

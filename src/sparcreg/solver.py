@@ -15,13 +15,17 @@ accepted, the next gradient, so an outer iteration costs one product with
 A per candidate, one with A^T, and one with A for the BB step.
 
 Which product with A depends on the design's size, decided once per
-``Objective``.  Below 2**16 entries A stays as given and every product is
-the plain ``A @ x``.  From 2**16 entries on, the ``Objective`` keeps A
-column-major and the products with A (the candidate and start residuals,
-the BB product and ``objective_value``) use only the columns where x is
-nonzero, ``A[:, nz] @ x[nz]``; prox outputs hold exact zeros, so a sparse
-iterate pays for its support, not for p.  These products differ from
-``A @ x`` in the last bit.  A^T r stays a dense product.
+``Objective``, and above that on the density of x.  Below 2**16 entries A
+stays as given and every product is the plain ``A @ x``.  From 2**16
+entries on, the ``Objective`` keeps A column-major and the products with A
+(the candidate and start residuals, the BB product and
+``objective_value``) use only the columns where x is nonzero,
+``A[:, nz] @ x[nz]``; prox outputs hold exact zeros, so a sparse iterate
+pays for its support, not for p.  An x with more than p / 4 nonzeros, such
+as one of the first candidates of a Lasso, ElasticNet or Oscar solve,
+goes through the dense ``A @ x`` of the column-major A instead, which is
+then cheaper.  Either product may differ in the last bit from ``A @ x`` of
+a row-major A.  A^T r stays a dense product.
 
 The objective and x0 are checked on entry; inside the loop each candidate
 pays for one checked ``prox`` call, and its objective and the BB ratio go
@@ -60,6 +64,11 @@ class SolverDivergenceError(RuntimeError):
 # product is 1.4-2x slower than A @ x, at 200 x 500 = 1e5 about 2x
 # faster (README, "Large designs")
 _SUPPORT_PRODUCTS_MIN_SIZE = 1 << 16
+# ... unless x has more nonzeros than this fraction of p: gathering the
+# columns then costs more than the dense product.  Measured with one BLAS
+# thread, the two cross between 0.2 p and 0.3 p for n = 100, 200 and
+# 500, at 0.24-0.28 p for n = 200 (README, "Large designs")
+_SUPPORT_PRODUCTS_MAX_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -142,11 +151,15 @@ class SolverResult:
 
 
 def _times_A(obj, x):
-    """A x; from 2**16 entries on, over the columns where x is nonzero."""
+    """A x; from 2**16 entries on, over the columns where x is nonzero,
+    unless it has more than p / 4 of them."""
     A = obj.A
     if A.size < _SUPPORT_PRODUCTS_MIN_SIZE:
         return A @ x
-    nz = (x != 0).nonzero()[0]  # x.nonzero()'s indices, faster on a mask
+    support = x != 0
+    if np.count_nonzero(support) > _SUPPORT_PRODUCTS_MAX_FRACTION * x.size:
+        return A @ x
+    nz = support.nonzero()[0]  # x.nonzero()'s indices, faster on a mask
     return A[:, nz] @ x[nz]
 
 

@@ -241,6 +241,32 @@ def isotonic_decreasing_bruteforce(u):
     return best_z
 
 
+def pava_elementwise(u):
+    """Pool-adjacent-violators pushing one element at a time.
+
+    The stack loop that ``prox._pava`` speeds up: push each element as a
+    block (sum, width), merge while the newest block's mean is at least its
+    predecessor's (cross-multiplied, so ties pool), then write each block's
+    mean s / w.  ``_pava`` must match it bit for bit.
+    """
+    sums = []
+    widths = []
+    for x in np.asarray(u, dtype=float).tolist():
+        sums.append(x)
+        widths.append(1)
+        while len(sums) > 1 and sums[-2] * widths[-1] <= sums[-1] * widths[-2]:
+            s = sums.pop()
+            w = widths.pop()
+            sums[-1] += s
+            widths[-1] += w
+    out = np.empty(sum(widths))
+    pos = 0
+    for s, w in zip(sums, widths):
+        out[pos:pos + w] = s / w
+        pos += w
+    return out
+
+
 # --------------------------------------------------------- dof by pairing
 
 def dof_union_find(e, tol=1e-4, zero_tol=1e-8):

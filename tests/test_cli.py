@@ -1,3 +1,4 @@
+import csv
 import importlib.metadata
 import json
 import os
@@ -202,6 +203,29 @@ class TestFit:
         assert len(coef) == 7
         assert coef[1].startswith("c0,")
         assert (out_dir / "metrics.json").exists()
+
+    def test_coefficient_names_are_quoted(self, capsys, tmp_path):
+        rng = np.random.default_rng(15)
+        A = rng.normal(size=(40, 3))
+        names = ("a,b", 'q"x', "plain")
+        path = tmp_path / "odd.csv"
+        write_csv(Dataset(A, A @ np.array([1.0, -2.0, 0.5]), "regression",
+                          feature_names=names), path)
+        out_dir = tmp_path / "q"
+        code, _, _ = run(capsys, "fit", str(path),
+                         "--label", "label", "--task", "regression",
+                         "--method", "lasso", "--lambda1", "0.01",
+                         "--outdir", str(out_dir))
+        assert code == 0
+        with open(out_dir / "coefficients.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["feature"] for r in rows] == list(names)
+        assert all(None not in r and len(r) == 3 for r in rows)
+        assert all(np.isfinite(float(r[c])) for r in rows
+                   for c in ("coefficient", "coefficient_raw"))
+        lines = (out_dir / "coefficients.csv").read_text().splitlines()
+        assert lines[3].startswith("plain,")
 
     def test_human_readable_output(self, capsys, planted_csv, tmp_path):
         code, out, _ = run(capsys, "fit", str(planted_csv),

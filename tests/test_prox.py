@@ -3,6 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from sparcreg.prox import (
+    _owl,
+    _pava,
     isotonic_decreasing,
     owl_weights,
     project_k_sparse,
@@ -15,7 +17,11 @@ from sparcreg.prox import (
 
 from sparcreg.regularizers import Sparc, prox
 
-from oracles import SortedMagnitudeView, isotonic_decreasing_bruteforce
+from oracles import (
+    SortedMagnitudeView,
+    isotonic_decreasing_bruteforce,
+    pava_elementwise,
+)
 
 
 class TestSoftThreshold:
@@ -92,6 +98,58 @@ class TestIsotonicDecreasing:
         rng = np.random.default_rng(12)
         u = rng.normal(size=30)
         assert isotonic_decreasing(u).sum() == pytest.approx(u.sum())
+
+
+class TestPavaKernel:
+    """``_pava`` pushes strictly decreasing stretches whole; bytes must not move."""
+
+    @staticmethod
+    def _same(u):
+        u = np.asarray(u, dtype=float)
+        got = _pava(u)
+        assert got.dtype == np.float64 and got.shape == u.shape
+        assert got.tobytes() == pava_elementwise(u).tobytes()
+
+    def test_random_tie_heavy(self):
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            n = int(rng.integers(2, 60))
+            scale = rng.choice([0.1, 0.3, 1.0, 3.0])
+            u = np.round(rng.normal(0, 2, size=n) / scale) * scale
+            if rng.random() < 0.5:
+                u = np.sort(u)[::-1] - rng.choice([0.0, 0.1, 0.3]) * np.arange(n)
+            self._same(u)
+
+    @pytest.mark.parametrize("u", [
+        [], [2.5], [-1.0], [0.1] * 7, [0.0, -0.0, 0.0],
+        np.arange(50, dtype=float), 0.1 * np.arange(13),
+        np.arange(50, 0, -1, dtype=float),
+    ], ids=["empty", "single", "single-negative", "all-equal", "signed-zeros",
+            "increasing", "increasing-inexact", "decreasing"])
+    def test_edge_shapes(self, u):
+        self._same(u)
+
+    @pytest.mark.parametrize("u", [
+        [1.0, 3.0, 2.0, 1.0, 0.5, 0.2],    # violation at the first index
+        [5.0, 4.0, 3.0, 2.0, 1.0, 1.5],    # and at the last
+        [1.0, 1.0, 0.5, 0.25, 0.25, 0.3],  # ties at both ends
+    ], ids=["first", "last", "ties-both-ends"])
+    def test_violation_at_an_end(self, u):
+        self._same(u)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_p_sorted_minus_owl(self, seed):
+        # the Oscar dense phase at p = 10 000: sorted magnitudes minus the
+        # per-rank weights of a small lam2, a few hundred rises
+        rng = np.random.default_rng(seed)
+        p = 10_000
+        mags = np.sort(np.abs(rng.normal(0, 1, size=p)))[::-1]
+        u = mags - _owl(0.05, 4e-6, p)
+        rises = np.count_nonzero(u[1:] >= u[:-1])
+        assert 100 <= rises <= 1000
+        self._same(u)
+        positive = (u > 0).nonzero()[0]
+        self._same(u[:positive[-1] + 1])
 
 
 def _prox_oscar_full_pava(v, lam1, lam2):

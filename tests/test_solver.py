@@ -10,6 +10,7 @@ from sparcreg.solver import (
     Objective,
     SolverConfig,
     SolverDivergenceError,
+    _SUPPORT_PRODUCTS_MAX_FRACTION,
     _SUPPORT_PRODUCTS_MIN_SIZE,
     _residual_and_objective,
     _times_A,
@@ -296,6 +297,25 @@ class TestSupportProducts:
         if support == "empty":
             assert not got.any()
 
+    @pytest.mark.parametrize("nnz", ["above", "at", "below"])
+    def test_dense_support_switches_to_the_dense_product(self, nnz):
+        A, y = self._problem(self.ABOVE)
+        obj = Objective(A, y, Lasso(0.1))
+        p = A.shape[1]
+        cut = int(_SUPPORT_PRODUCTS_MAX_FRACTION * p)
+        assert cut == _SUPPORT_PRODUCTS_MAX_FRACTION * p  # 425 of 1700
+        count = {"above": cut + 1, "at": cut, "below": 60}[nnz]
+        rng = np.random.default_rng(3)
+        x = np.zeros(p)
+        x[rng.choice(p, count, replace=False)] = rng.normal(0, 1, size=count)
+        nz = x.nonzero()[0]
+        dense, gathered = obj.A @ x, obj.A[:, nz] @ x[nz]
+        assert dense.tobytes() != gathered.tobytes()  # the bytes tell them apart
+        expected = dense if nnz == "above" else gathered
+        assert _times_A(obj, x).tobytes() == expected.tobytes()
+        r, _ = _residual_and_objective(obj, x)
+        assert r.tobytes() == (expected - y).tobytes()
+
     @pytest.mark.parametrize("shape", [(20, 40), BELOW],
                              ids=["p40", "just-below"])
     def test_below_the_rule_products_are_dense_bit_for_bit(self, shape):
@@ -309,17 +329,31 @@ class TestSupportProducts:
             r, _ = _residual_and_objective(obj, x)
             assert r.tobytes() == (A @ x - y).tobytes()
 
-    @pytest.mark.parametrize("reg", [Lasso(0.05), ElasticNet(0.05, 0.1),
-                                     Oscar(0.05, 1e-4), Sparc(0.01, 6)],
-                             ids=["lasso", "enet", "oscar", "sparc"])
-    def test_above_the_rule_solve_is_consistent(self, reg):
+    PENALTIES = pytest.mark.parametrize(
+        "reg", [Lasso(0.05), ElasticNet(0.05, 0.1), Oscar(0.05, 1e-4),
+                Sparc(0.01, 6)], ids=["lasso", "enet", "oscar", "sparc"])
+
+    def _check_solve(self, reg, x0=None):
         A, y = self._problem(self.ABOVE)
         obj = Objective(A, y, reg)
-        res = sparsa_solve(obj)
+        res = sparsa_solve(obj, x0)
         assert res.trace[-1] == objective_value(obj, res.x)
         assert np.all(np.diff(res.trace) <= 0)
         if isinstance(reg, Sparc):
             assert np.count_nonzero(res.x) <= reg.k
+
+    @PENALTIES
+    def test_above_the_rule_solve_is_consistent(self, reg):
+        # the Lasso, ElasticNet and Oscar solves pass more than p / 4
+        # nonzeros to 31-50 of their products, Sparc's iterates are k-sparse
+        self._check_solve(reg)
+
+    @PENALTIES
+    def test_above_the_rule_dense_start_is_consistent(self, reg):
+        # the start residual is a dense product (Sparc projects x0 to k
+        # nonzeros first)
+        x0 = np.random.default_rng(3).normal(0, 1, size=self.ABOVE[1])
+        self._check_solve(reg, x0)
 
     def test_column_major_only_above_the_rule(self):
         A_small, y_small = self._problem(self.BELOW)

@@ -75,16 +75,9 @@ def _parse_vector(text):
     return np.asarray(out)
 
 
-def _parse_float_list(text, flag):
+def _parse_list(text, flag, cast=float):
     try:
-        return [float(t) for t in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
-
-
-def _parse_int_list(text, flag):
-    try:
-        return [int(t) for t in text.replace(",", " ").split()]
+        return [cast(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
         raise CliError(f"{flag}: {exc}") from None
 
@@ -123,16 +116,21 @@ def _default_outdir():
 
 # ---------------------------------------------------------------- prox
 
-# each regularizer field and the flag that sets it; the flag's dest is
-# the field name
-_FIELD_FLAGS = {"lam1": "--lambda1", "lam2": "--lambda2", "lam": "--lambda",
-                "k": "--k"}
+# each regularizer field, the flag that sets it and the flag's type; the
+# flag's dest is the field name
+_FIELD_FLAGS = {"lam1": ("--lambda1", float), "lam2": ("--lambda2", float),
+                "lam": ("--lambda", float), "k": ("--k", int)}
+
+
+def _add_field_flags(p):
+    for name, (flag, cast) in _FIELD_FLAGS.items():
+        p.add_argument(flag, dest=name, type=cast)
 
 
 def _given_fields(args, method):
     """The method's fields that flags set; refuses another method's flag."""
     names = [f.name for f in fields(_BY_METHOD[method])]
-    for name, flag in _FIELD_FLAGS.items():
+    for name, (flag, _) in _FIELD_FLAGS.items():
         if name not in names and getattr(args, name) is not None:
             raise CliError(f"{flag} is not a --{method} parameter")
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
@@ -143,7 +141,7 @@ def _prox_regularizer(args):
     given = _given_fields(args, method)
     for f in fields(_BY_METHOD[method]):
         if f.name not in given:
-            raise CliError(f"--{method} requires {_FIELD_FLAGS[f.name]}")
+            raise CliError(f"--{method} requires {_FIELD_FLAGS[f.name][0]}")
     try:
         return _BY_METHOD[method](**given)
     except ValueError as exc:
@@ -189,9 +187,9 @@ def _parse_methods(text):
 
 def _grid_axes(args, p):
     """The axes of default_grids, with --lambda-grid and --k-grid applied."""
-    lam = (_parse_float_list(args.lambda_grid, "--lambda-grid")
+    lam = (_parse_list(args.lambda_grid, "--lambda-grid")
            if args.lambda_grid else None)
-    ks = (_parse_int_list(args.k_grid, "--k-grid")
+    ks = (_parse_list(args.k_grid, "--k-grid", int)
           if args.k_grid else None)
     try:
         return _axes(p, lam_grid=lam, k_grid=ks)
@@ -241,7 +239,7 @@ def cmd_synth(args):
 # ----------------------------------------------------------------- fit
 
 def _parse_fractions(text):
-    parts = _parse_float_list(text, "--split")
+    parts = _parse_list(text, "--split")
     if len(parts) != 3:
         raise CliError(f"--split needs three fractions, got {len(parts)}")
     if min(parts) <= 0 or abs(sum(parts) - 1.0) > 1e-9:
@@ -387,10 +385,7 @@ def build_parser():
     which = p.add_mutually_exclusive_group(required=True)
     for name in METHOD_NAMES:
         which.add_argument(f"--{name}", action="store_true")
-    p.add_argument("--lambda1", dest="lam1", type=float)
-    p.add_argument("--lambda2", dest="lam2", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--k", type=int)
+    _add_field_flags(p)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--vec", help="comma- or space-separated numbers")
     src.add_argument("--vec-file", help="file of numbers")
@@ -422,10 +417,7 @@ def build_parser():
                    help="keep only the m columns most correlated with y")
     p.add_argument("--normalization", default="l2",
                    choices=("l2", "zscore", "none"))
-    p.add_argument("--lambda1", dest="lam1", type=float)
-    p.add_argument("--lambda2", dest="lam2", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--k", type=int)
+    _add_field_flags(p)
     p.add_argument("--lambda-grid")
     p.add_argument("--k-grid")
     p.add_argument("--outdir", default=_default_outdir())

@@ -237,7 +237,7 @@ def _one_repetition(source, grids, cfg, methods, fractions, normalization,
     if keep_estimates:
         truth = ([float(v) for v in ds.x_true]
                  if ds.x_true is not None else None)
-    return {"cells": cells, "truth": truth, "p": int(ds.p)}
+    return {"cells": cells, "truth": truth, "p": int(ds.p), "task": ds.task}
 
 
 @dataclass(frozen=True)
@@ -259,20 +259,7 @@ class BenchmarkReport:
     schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "task": self.task,
-            "methods": self.methods,
-            "repetitions": self.repetitions,
-            "master_seed": self.master_seed,
-            "metric_names": self.metric_names,
-            "summary": self.summary,
-            "selected": self.selected,
-            "per_repetition": self.per_repetition,
-            "errors": self.errors,
-            "profile": self.profile,
-            "config": self.config,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -280,11 +267,7 @@ class BenchmarkReport:
             raise ValueError(
                 f"unsupported report schema {d.get('schema_version')!r}"
             )
-        return cls(**{k: d[k] for k in (
-            "task", "methods", "repetitions", "master_seed", "metric_names",
-            "summary", "selected", "per_repetition", "errors", "profile",
-            "config",
-        )}, schema_version=d["schema_version"])
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 def run_repetitions(source, grids, config=None, repetitions=50,
@@ -316,11 +299,6 @@ def run_repetitions(source, grids, config=None, repetitions=50,
         for r in range(repetitions)
     ]
 
-    task = ("classification"
-            if isinstance(source, ClassificationSpec)
-            or (isinstance(source, Dataset)
-                and source.task == "classification")
-            else "regression")
     summary, selected, per_rep, errors = {}, {}, {}, {}
     for m in methods:
         cells = [rep["cells"][m] for rep in reps]
@@ -342,7 +320,7 @@ def run_repetitions(source, grids, config=None, repetitions=50,
             "failures": sum(c["error"] is not None for c in cells),
         }
 
-    p = reps[0]["p"]
+    task, p = reps[0]["task"], reps[0]["p"]
     profile = {
         "index": list(range(1, p + 1)),
         "true": reps[0]["truth"],

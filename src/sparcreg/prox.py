@@ -8,7 +8,7 @@ sort / shrink / pool proximity operators assembled from them.
 
 Every function is pure and operates on 1-D float arrays.  The public
 functions validate their arguments and then call private kernels
-(``_soft``, ``_owl``, ``_prox_oscar``, ``_top_k``, ``_prox_sparc``) that
+(``_soft``, ``_owl``, ``_prox_oscar``, ``_top_k``, ``_prox_terms``) that
 assume a finite 1-D float64 vector and checked parameters; callers that
 have already validated, such as ``regularizers.prox``, call the kernels
 directly.
@@ -117,20 +117,20 @@ def _pava(u):
     """Pool-adjacent-violators on a 1-D float array, without checks.
 
     Scan left to right keeping a stack of blocks (sum, width); while the
-    newest block's mean is at least its predecessor's, merge the two;
-    finally expand each block to its mean.  Ties pool, so even a feasible
-    input can come back changed in the last bit.
+    newest block's mean is above its predecessor's, merge the two; finally
+    expand each block to its mean.  Only strict violators merge, so a
+    non-increasing input comes back bit for bit.
 
     An element pushed without a merge leaves a singleton on top, and every
-    following element up to the next rise (u[j] >= u[j-1]) is below it,
-    so that strictly decreasing stretch is pushed whole, with one extend;
+    following element up to the next rise (u[j] > u[j-1]) is at or below
+    it, so that non-increasing stretch is pushed whole, with one extend;
     only the first element, the rises and the elements after a merge run
-    the merge loop.  A tie counts as a rise, so ties still pool, and the
-    arithmetic is that of pushing element by element.
+    the merge loop, and the arithmetic is that of pushing element by
+    element.
     """
     vals = u.tolist()
     n = len(vals)
-    rises = ((u[1:] >= u[:-1]).nonzero()[0] + 1).tolist()
+    rises = ((u[1:] > u[:-1]).nonzero()[0] + 1).tolist()
     rises.append(n)
     sums = []
     widths = []
@@ -139,8 +139,8 @@ def _pava(u):
         sums.append(vals[i])
         widths.append(1)
         i += 1
-        # pool while predecessor mean <= newest mean (cross-multiplied)
-        while len(sums) > 1 and sums[-2] * widths[-1] <= sums[-1] * widths[-2]:
+        # pool while predecessor mean < newest mean (cross-multiplied)
+        while len(sums) > 1 and sums[-2] * widths[-1] < sums[-1] * widths[-2]:
             s = sums.pop()
             w = widths.pop()
             sums[-1] += s
@@ -185,20 +185,15 @@ def _prox_oscar(v, lam1, lam2):
     Every weight is at least lam1, so an entry with |v_i| <= lam1 has
     u_i <= 0 and clips to zero, and such entries are the trailing ranks of
     the full stable sort.  Sorting the rest therefore gives exactly the
-    leading ranks of the full order, and the result is bit-for-bit that of
-    sorting all p magnitudes.
+    leading ranks of the full order.  PAVA never merges a positive block
+    with the nonpositive ranks behind it, so the result is bit-for-bit that
+    of sorting all p magnitudes.
     """
     mags = np.abs(v)
     top = (mags > lam1).nonzero()[0]
     order = top[np.argsort(-mags[top], kind="stable")]
     u = mags[order] - _owl(lam1, lam2, v.size, top.size)
-    if not _is_non_increasing(u) or (
-            # u is feasible but has a tie: PAVA, which pools ties (and so
-            # changes them in the last bit), runs iff the full u is
-            # infeasible, which the sorted values of all ranks decide
-            top.size < v.size and not (u[1:] < u[:-1]).all()
-            and not _is_non_increasing(np.sort(mags)[::-1]
-                                       - _owl(lam1, lam2, v.size))):
+    if not _is_non_increasing(u):
         # Entries after the last positive one pool only into blocks whose
         # mean is <= 0, which never merge into a positive block and clip to
         # zero anyway, so PAVA runs on the prefix up to that entry alone.
@@ -254,11 +249,20 @@ def project_k_sparse(v, k):
     return out
 
 
-def _prox_sparc(v, lam, k):
-    idx = _top_k(v, k)
-    out = np.zeros_like(v)
-    out[idx] = _prox_oscar(v[idx], 0.0, lam)
-    return out
+def _prox_terms(v, l1, slope, ridge, k):
+    """The prox of the penalty family's terms (see ``regularizers``).
+
+    Soft thresholding without a slope, the OSCAR prox with one, then the
+    ridge shrink 1/(1 + ridge); a cap k applies this to the k largest
+    magnitudes and zeroes the rest.  None marks an absent term.
+    """
+    if k is not None:
+        idx = _top_k(v, k)
+        out = np.zeros_like(v)
+        out[idx] = _prox_terms(v[idx], l1, slope, ridge, None)
+        return out
+    out = _soft(v, l1) if slope is None else _prox_oscar(v, l1, slope)
+    return out if ridge is None else out / (1.0 + ridge)
 
 
 def prox_sparc(v, lam, k):
@@ -269,4 +273,5 @@ def prox_sparc(v, lam, k):
     The output is always k-sparse with support inside ``top_k_support(v, k)``.
     """
     v = _as_vector(v)
-    return _prox_sparc(v, _check_nonneg(lam, "lam"), _check_k(k, v.size))
+    return _prox_terms(v, 0.0, _check_nonneg(lam, "lam"), None,
+                       _check_k(k, v.size))

@@ -39,9 +39,7 @@ from .prox import (  # the public operators stay importable from here
     _check_k,
     _check_nonneg,
     _owl,
-    _prox_oscar,
-    _soft,
-    _top_k,
+    _prox_terms,
     owl_weights,
     prox_elastic_net,
     prox_oscar,
@@ -192,11 +190,6 @@ def penalty_value(reg, x):
     return _checked_penalty(_terms(reg), _as_vector(x, "x"))
 
 
-def _shrink(v, l1, slope, ridge):
-    out = _soft(v, l1) if slope is None else _prox_oscar(v, l1, slope)
-    return out if ridge is None else out / (1.0 + ridge)
-
-
 def prox(reg, v, alpha=1.0):
     """Proximity operator of ``penalty(reg) / alpha`` at v.
 
@@ -205,16 +198,13 @@ def prox(reg, v, alpha=1.0):
     Soft thresholding without a slope, the sorted OWL prox with one, then
     the ridge shrink 1/(1 + ridge); a cap applies this to the k largest
     magnitudes and zeroes the rest.  Checks alpha, the scaled terms, v and
-    k <= v.size once, then runs unchecked kernels.
+    k <= v.size once, then runs the unchecked kernel ``_prox_terms``.
     """
     l1, slope, ridge, k = _scale(reg, alpha)
     v = _as_vector(v)
-    if k is None:
-        return _shrink(v, l1, slope, ridge)
-    idx = _top_k(v, _check_k(k, v.size))
-    out = np.zeros_like(v)
-    out[idx] = _shrink(v[idx], l1, slope, ridge)
-    return out
+    if k is not None:
+        _check_k(k, v.size)
+    return _prox_terms(v, l1, slope, ridge, k)
 
 
 def prox_objective(reg, v, z, alpha=1.0):

@@ -146,7 +146,6 @@ class SolverResult:
     trace: np.ndarray          # objective value after each accepted step
     iterations: int            # accepted outer steps, == trace.size
     termination: str           # "tolerance", "max-iterations" or "line-search-cap"
-    inner_cap_hit: bool = field(default=False)
     alpha_final: float = field(default=float("nan"))
 
 
@@ -252,7 +251,6 @@ def sparsa_solve(obj, x0=None, config=None):
     x, f_x, r = x_new, f_new, r_new
     trace = [f_x]
     termination = "max-iterations"
-    inner_cap_hit = False
 
     for _ in range(1, cfg.max_outer):
         s = x - x_prev
@@ -286,7 +284,6 @@ def sparsa_solve(obj, x0=None, config=None):
         if not accepted:
             # Backtracking exhausted.  Keep monotonicity: take the best
             # candidate only if it does not increase F, then stop.
-            inner_cap_hit = True
             warnings.warn(
                 "inner backtracking cap reached; stopping at the best "
                 "non-increasing iterate",
@@ -313,6 +310,5 @@ def sparsa_solve(obj, x0=None, config=None):
         trace=np.asarray(trace),
         iterations=len(trace),
         termination=termination,
-        inner_cap_hit=inner_cap_hit,
         alpha_final=alpha,
     )

@@ -245,16 +245,16 @@ def pava_elementwise(u):
     """Pool-adjacent-violators pushing one element at a time.
 
     The stack loop that ``prox._pava`` speeds up: push each element as a
-    block (sum, width), merge while the newest block's mean is at least its
-    predecessor's (cross-multiplied, so ties pool), then write each block's
-    mean s / w.  ``_pava`` must match it bit for bit.
+    block (sum, width), merge while the newest block's mean is above its
+    predecessor's (cross-multiplied, so ties stay apart), then write each
+    block's mean s / w.  ``_pava`` must match it bit for bit.
     """
     sums = []
     widths = []
     for x in np.asarray(u, dtype=float).tolist():
         sums.append(x)
         widths.append(1)
-        while len(sums) > 1 and sums[-2] * widths[-1] <= sums[-1] * widths[-2]:
+        while len(sums) > 1 and sums[-2] * widths[-1] < sums[-1] * widths[-2]:
             s = sums.pop()
             w = widths.pop()
             sums[-1] += s

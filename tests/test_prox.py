@@ -76,9 +76,11 @@ class TestIsotonicDecreasing:
         npt.assert_allclose(isotonic_decreasing([0.0, 10.0]), [5.0, 5.0])
 
     def test_infeasible_input_pools_ties(self):
-        # the tied prefix is pooled, 0.3000...04 / 3, one ulp above 0.1
+        # the tie is one level set of the projection, and it keeps its exact
+        # value: summing and dividing it would give 0.3000...04 / 3, one ulp
+        # above 0.1; only the violation behind it is averaged
         out = isotonic_decreasing([0.1, 0.1, 0.1, -1.0, -0.5])
-        assert out[:3].tolist() == [0.10000000000000002] * 3
+        assert out[:3].tolist() == [0.1] * 3
         assert out[3:].tolist() == [-0.75, -0.75]
 
     def test_already_feasible_unchanged(self):
@@ -101,7 +103,7 @@ class TestIsotonicDecreasing:
 
 
 class TestPavaKernel:
-    """``_pava`` pushes strictly decreasing stretches whole; bytes must not move."""
+    """``_pava`` pushes non-increasing stretches whole; bytes must not move."""
 
     @staticmethod
     def _same(u):
@@ -129,6 +131,18 @@ class TestPavaKernel:
     def test_edge_shapes(self, u):
         self._same(u)
 
+    def test_non_increasing_input_comes_back_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        cases = [[0.1] * 7, [0.0, -0.0, 0.0, -0.0], [0.1, 0.1, -0.0, 0.0]]
+        for _ in range(500):
+            n = int(rng.integers(1, 40))
+            scale = rng.choice([0.1, 0.3, 1.0])
+            cases.append(np.sort(np.round(rng.normal(0, 2, size=n) / scale)
+                                 * scale)[::-1])
+        for u in cases:
+            u = np.asarray(u, dtype=float)
+            assert _pava(u).tobytes() == u.tobytes()
+
     @pytest.mark.parametrize("u", [
         [1.0, 3.0, 2.0, 1.0, 0.5, 0.2],    # violation at the first index
         [5.0, 4.0, 3.0, 2.0, 1.0, 1.5],    # and at the last
@@ -145,7 +159,7 @@ class TestPavaKernel:
         p = 10_000
         mags = np.sort(np.abs(rng.normal(0, 1, size=p)))[::-1]
         u = mags - _owl(0.05, 4e-6, p)
-        rises = np.count_nonzero(u[1:] >= u[:-1])
+        rises = np.count_nonzero(u[1:] > u[:-1])
         assert 100 <= rises <= 1000
         self._same(u)
         positive = (u > 0).nonzero()[0]
@@ -178,7 +192,7 @@ class TestProxOscar:
 
     @pytest.mark.parametrize("v, lam1, lam2", [
         # u = [0.1, 0.1, 0.1, -2^-60, 0]: infeasible only past the positive
-        # prefix, and PAVA pools the tied prefix to 0.10000000000000002
+        # prefix, which PAVA leaves as it is
         ([0.1, -0.1, 0.1, 0.0, 0.0], 0.0, 2.0 ** -60),
         ([3.0, -1.0, 0.2, -4.0], 0.8, 0.0),          # lam2 = 0
         ([0.0, 2.0, 0.0, -2.0, 1.0, 0.0], 0.1, 0.3),  # exact zeros and ties
@@ -197,20 +211,18 @@ class TestProxOscar:
                 == _prox_oscar_full_pava(v, lam1, lam2).tobytes())
 
     @pytest.mark.parametrize("lam1", [0.0, 2.0 ** -70])
-    @pytest.mark.parametrize("v, pooled", [
-        # full u = [0.1, 0.1, 0.1, -2^-60 - lam1, -lam1] is infeasible, so
-        # PAVA runs and pools the tie to 0.3000...04 / 3
-        ([0.1, -0.1, 0.1, 0.0, 0.0], True),
-        # full u = [0.1, 0.1, 0.1, -lam1] is feasible and comes back unchanged
-        ([0.1, -0.1, 0.1, 0.0], False),
+    @pytest.mark.parametrize("v", [
+        # full u = [0.1, 0.1, 0.1, -2^-60 - lam1, -lam1] is infeasible
+        [0.1, -0.1, 0.1, 0.0, 0.0],
+        # full u = [0.1, 0.1, 0.1, -lam1] is feasible
+        [0.1, -0.1, 0.1, 0.0],
     ], ids=["infeasible", "feasible"])
-    def test_tied_prefix_depends_on_the_unsorted_ranks(self, v, pooled,
-                                                       lam1):
-        # only the three nonzero magnitudes exceed lam1 and are sorted
+    def test_tied_prefix_keeps_its_value(self, v, lam1):
+        # only the three nonzero magnitudes exceed lam1 and are sorted; the
+        # tie is no violation, so it keeps 0.1 whatever the unsorted ranks
         v = np.array(v)
         out = prox_oscar(v, lam1, 2.0 ** -60)
-        tie = 0.10000000000000002 if pooled else 0.1
-        assert np.abs(out[:3]).tolist() == [tie] * 3
+        assert np.abs(out[:3]).tolist() == [0.1] * 3
         assert out.tobytes() == _prox_oscar_full_pava(v, lam1,
                                                       2.0 ** -60).tobytes()
 
@@ -243,6 +255,10 @@ class TestProxOscar:
             v = rng.normal(0, 2, size=8)
             x = prox_oscar(v, 0.3, 0.2)
             assert np.all(np.abs(x) <= np.abs(v) + 1e-12)
+
+    def test_tied_magnitudes_never_grow_exactly(self):
+        v = np.array([0.1, -0.1, 0.1, 0.0, 0.0])
+        assert np.all(np.abs(prox_oscar(v, 0.0, 2.0 ** -60)) <= np.abs(v))
 
 
 class TestTopKSupport:

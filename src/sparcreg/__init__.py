@@ -31,6 +31,7 @@ from .solver import (
     SolverConfig,
     SolverDivergenceError,
     SolverResult,
+    SolverStats,
     bb_step,
     gradient_smooth,
     objective_value,
@@ -82,7 +83,7 @@ __all__ = [
     "ElasticNet", "Lasso", "Oscar", "Regularizer", "Sparc",
     "penalty_value", "prox", "prox_objective",
     "Objective", "SolverConfig", "SolverDivergenceError", "SolverResult",
-    "bb_step", "gradient_smooth", "objective_value", "sparsa_solve",
+    "SolverStats", "bb_step", "gradient_smooth", "objective_value", "sparsa_solve",
     "ClassificationSpec", "DataError", "Dataset", "SyntheticSpec",
     "generate_grouped_classification", "generate_synthetic", "load_csv",
     "normalize_columns", "normalize_dataset", "split_dataset",

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sparcreg.prox import soft_threshold
+from sparcreg import solver
 from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox
 from sparcreg.solver import (
     Objective,
@@ -354,6 +355,102 @@ class TestSupportProducts:
         x0 = np.random.default_rng(3).normal(0, 1, size=self.ABOVE[1])
         self._check_solve(reg, x0)
 
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW],
+                             ids=["above", "below"])
+    @pytest.mark.parametrize("delta", [-5, 5])
+    def test_x_of_the_wrong_size_rejected(self, shape, delta):
+        # above the rule the gathered product used to accept any length
+        A, y = self._problem(shape)
+        obj = Objective(A, y, Lasso(0.1))
+        p = shape[1]
+        x = np.zeros(p + delta)
+        x[:3] = 1.0
+        message = f"x has size {p + delta}, expected {p}"
+        with pytest.raises(ValueError, match=message):
+            objective_value(obj, x)
+        with pytest.raises(ValueError, match=message):
+            gradient_smooth(obj, x)
+
+    def _screened_solve(self, monkeypatch, reg, config=None):
+        """Solve above the rule, checking every screened A^T r against the
+        dense product; returns the result and the number of screened ones."""
+        A, y = self._problem(self.ABOVE)
+        obj = Objective(A, y, reg)
+        l1, _, _, k = reg.terms()
+        gradient = solver._gradient
+        screened = []
+
+        def checked(obj, x, r, screen, stats):
+            before = stats.At_screened
+            g = gradient(obj, x, r, screen, stats)
+            dense = obj.A.T @ r
+            if stats.At_screened == before:
+                assert g.tobytes() == dense.tobytes()
+                return g
+            screened.append(np.count_nonzero(g))
+            skipped = (g == 0) & (x == 0)
+            computed = ~skipped
+            bound = 1e-12 * obj.col_norms * np.linalg.norm(r)
+            assert np.all(np.abs(g - dense)[computed] <= bound[computed])
+            if k is None:
+                assert np.all(np.abs(dense[skipped]) <= l1)
+            elif skipped.any():
+                off = np.sort(np.abs(dense[computed & (x == 0)]))[::-1]
+                assert off.size >= k
+                assert off[k - 1] > np.abs(dense[skipped]).max()
+            # the prox of the step is that of the full vector with the
+            # computed entries, at any alpha
+            full = np.where(skipped, dense, g)
+            for alpha in (1.0, 3.7, 50.0, 1e4):
+                assert np.array_equal(prox(reg, x - g / alpha, alpha),
+                                      prox(reg, x - full / alpha, alpha))
+            return g
+
+        monkeypatch.setattr(solver, "_gradient", checked)
+        res = sparsa_solve(obj, config=config)
+        assert res.trace[-1] == objective_value(obj, res.x)
+        assert np.all(np.diff(res.trace) <= 0)
+        return res, len(screened)
+
+    @PENALTIES
+    @pytest.mark.parametrize("alpha_min", [1.0, 30.0])
+    def test_screened_gradient_is_safe(self, monkeypatch, reg, alpha_min):
+        res, screened = self._screened_solve(
+            monkeypatch, reg, SolverConfig(alpha_min=alpha_min))
+        assert screened == res.stats.At_screened
+        if isinstance(reg, (Lasso, Sparc)):
+            assert res.stats.At_screened > 0
+            assert 0 < res.stats.At_columns \
+                <= res.stats.At_screened * _SUPPORT_PRODUCTS_MAX_FRACTION \
+                * self.ABOVE[1]
+
+    @pytest.mark.parametrize("reg", [Lasso(0.0), Oscar(0.0, 1e-4),
+                                     Sparc(1e-5, 900)],
+                             ids=["lasso0", "oscar0", "sparc-k-above-p/2"])
+    def test_dense_gradient_without_a_threshold(self, monkeypatch, reg):
+        # l1 = 0 without a cap leaves no entry that provably stays zero; a
+        # cap k > p / 4 leaves more than p / 4 entries to compute
+        res, screened = self._screened_solve(monkeypatch, reg)
+        assert screened == res.stats.At_screened == res.stats.At_columns == 0
+        assert res.stats.At_dense > 1
+
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW],
+                             ids=["above", "below"])
+    @PENALTIES
+    def test_stats_add_up(self, shape, reg):
+        A, y = self._problem(shape)
+        res = sparsa_solve(Objective(A, y, reg))
+        st = res.stats
+        assert res.termination == "tolerance"
+        # one accepted candidate per trace entry
+        assert st.candidates == res.iterations + st.backtracks
+        # one product with A at the start, per candidate and per BB step,
+        # which comes with every gradient but the first
+        assert st.A_dense + st.A_gathered == st.candidates + st.At_dense \
+            + st.At_screened
+        if shape == self.BELOW:
+            assert st.A_gathered == st.At_screened == st.At_columns == 0
+
     def test_column_major_only_above_the_rule(self):
         A_small, y_small = self._problem(self.BELOW)
         A_large, y_large = self._problem(self.ABOVE)
@@ -364,3 +461,8 @@ class TestSupportProducts:
         assert np.array_equal(large.A, A_large)
         # an objective derived for another penalty shares the copy
         assert replace(large, reg=Sparc(0.1, 3)).A is large.A
+        # column norms exist above the rule only, and are shared
+        assert small.col_norms is None
+        npt.assert_allclose(large.col_norms, np.linalg.norm(A_large, axis=0),
+                            rtol=1e-14)
+        assert large._with_reg(Sparc(0.1, 3)).col_norms is large.col_norms

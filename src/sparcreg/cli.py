@@ -29,8 +29,7 @@ from .data import (
     DataError,
     SPLIT_NAMES,
     SyntheticSpec,
-    _parse_table,
-    _read_table,
+    _load_table,
     load_csv,
     normalize_dataset,
     split_dataset,
@@ -344,21 +343,13 @@ def cmd_fit(args):
 # ------------------------------------------------------------ describe
 
 def cmd_describe(args):
-    header, rows, line_nos = _read_table(args.csv)
-    split_idx = header.index("split") if "split" in header else None
-    candidates = [j for j in range(len(header)) if j != split_idx]
-    if not candidates:
-        raise DataError("no feature columns left after label/split")
-    label_idx = (header.index("label") if "label" in header
-                 else candidates[-1])
-    _, A, y, _, split = _parse_table(
-        args.csv, header, rows, line_nos, label_idx, split_idx)
+    label, _, A, y, split = _load_table(args.csv, None, "split")
     values, counts = np.unique(y, return_counts=True)
     task = "classification" if values.size == 2 else "regression"
     norms = np.sqrt((A * A).sum(axis=0))
 
     print(f"n={A.shape[0]} p={A.shape[1]}")
-    print(f"label column: {header[label_idx]}")
+    print(f"label column: {label}")
     print(f"task={task} (inferred)")
     if task == "classification":
         for v, c in zip(values, counts):

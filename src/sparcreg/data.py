@@ -8,12 +8,20 @@ on the same block structure.
 
 All randomness flows through ``numpy.random.default_rng(seed)``; every
 function here is a pure function of its inputs and the seed.
+
+``load_csv`` (and the CLI's ``describe``) read a CSV in ``_load_table``:
+the ``csv`` module reads the header, numpy's C reader the body.  Where
+that reader refuses the text or cannot decide alone (quotes, odd cells,
+ragged rows, non-finite values, a third class), the body is read again
+by the exact ``csv``-module parser, which names the line and cell of an
+error or reads what only it accepts.
 """
 
 from __future__ import annotations
 
 import csv
 import operator
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -283,36 +291,44 @@ def _parse_cell(tok, line_no, col_name):
         ) from None
 
 
-def _read_table(path):
-    """The stripped header, the non-blank rows and the line each ends on.
+def _read_header(reader, path):
+    """The stripped first non-empty row of a ``csv.reader``.
+
+    The reader's ``line_num`` is then the header's physical line.  Raises
+    DataError for an empty file or a header that names a column twice.
+    """
+    for row in reader:
+        if row:
+            header = [c.strip() for c in row]
+            dup = [c for c, k in Counter(header).items() if k > 1]
+            if dup:
+                raise DataError(
+                    f"line {reader.line_num}: duplicate column {dup[0]!r}")
+            return header
+    raise DataError(f"{path}: empty file")
+
+
+def _read_table(reader):
+    """The remaining non-blank rows of a ``csv.reader`` and their lines.
 
     Line numbers are physical (1-based) lines of the file, so they stay
-    right after blank lines.  Raises DataError for an empty file or a
-    header that names a column twice.
+    right after blank lines.
     """
     rows, line_nos = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if row:
-                rows.append(row)
-                line_nos.append(reader.line_num)
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
-    dup = [c for c, k in Counter(header).items() if k > 1]
-    if dup:
-        raise DataError(f"line {line_nos[0]}: duplicate column {dup[0]!r}")
-    return header, rows, line_nos
+    for row in reader:
+        if row:
+            rows.append(row)
+            line_nos.append(reader.line_num)
+    return rows, line_nos
 
 
 def _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y):
     """Raise DataError at the first non-finite cell of a parsed CSV table.
 
-    ``A[i, c]`` was parsed from ``rows[i + 1][feat_idx[c]]`` and ``y[i]``
-    from ``rows[i + 1][label_idx]`` (row 0 is the header); ``line_nos``
-    holds each row's line in the file.  The cell is located only on
-    failure, so a valid table costs one vectorised test.
+    ``A[i, c]`` was parsed from ``rows[i][feat_idx[c]]`` and ``y[i]`` from
+    ``rows[i][label_idx]``; ``line_nos`` holds each row's line in the
+    file.  The cell is located only on failure, so a valid table costs
+    one vectorised test.
     """
     if np.isfinite(A).all() and np.isfinite(y).all():
         return
@@ -321,31 +337,26 @@ def _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y):
     i = int(np.flatnonzero(bad.any(axis=1))[0])
     j = min(columns[c] for c in np.flatnonzero(bad[i]))
     raise DataError(
-        f"line {line_nos[i + 1]}, column {header[j]!r}: "
-        f"non-finite value {rows[i + 1][j].strip()!r}"
+        f"line {line_nos[i]}, column {header[j]!r}: "
+        f"non-finite value {rows[i][j].strip()!r}"
     )
 
 
-def _parse_table(path, header, rows, line_nos, label_idx, split_idx):
-    """Parse the rows of a ``_read_table`` table into numbers.
+def _parse_table(path, header, rows, line_nos, feat_idx, label_idx,
+                 split_idx):
+    """Parse the body rows of a ``_read_table`` table into numbers.
 
-    Columns other than ``label_idx`` and ``split_idx`` (None if absent)
-    are features.  Returns (feature columns, A, y, stripped label texts,
-    split labels or None); every error names its line and cell.
+    Returns (A, y, stripped label texts, split labels or None); every
+    error names its line and cell.
     """
-    feat_idx = [
-        j for j in range(len(header)) if j not in (label_idx, split_idx)
-    ]
-    if not feat_idx:
-        raise DataError("no feature columns left after label/split")
-    if not rows[1:]:
+    if not rows:
         raise DataError(f"{path}: no data rows")
     # itemgetter of one index returns the cell itself, not a sequence
     get = (operator.itemgetter(*feat_idx) if len(feat_idx) > 1 else
            operator.itemgetter(slice(feat_idx[0], feat_idx[0] + 1)))
     A_rows, labels = [], []
     split = [] if split_idx is not None else None
-    for row, line_no in zip(rows[1:], line_nos[1:]):
+    for row, line_no in zip(rows, line_nos):
         if len(row) != len(header):
             raise DataError(
                 f"line {line_no}: expected {len(header)} fields, "
@@ -371,9 +382,122 @@ def _parse_table(path, header, rows, line_nos, label_idx, split_idx):
 
     A = np.asarray(A_rows)
     y = np.asarray([_parse_cell(tok, ln, header[label_idx])
-                    for tok, ln in zip(labels, line_nos[1:])])
+                    for tok, ln in zip(labels, line_nos)])
     _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
-    return feat_idx, A, y, labels, split
+    return A, y, labels, split
+
+
+def _read_body(path, skip, header, feat_idx, label_idx, split_idx,
+               classify):
+    """The body after line ``skip`` through numpy's C reader, or None.
+
+    None means the exact path must decide: the C reader refused the text
+    (a quote, an empty or odd cell, a ragged row), or it read no rows, a
+    row width other than the header's, a non-finite value, or (with
+    ``classify``) a third label value, whose error needs a line number.
+    Cells it accepts parse to the same doubles as ``float``.
+    """
+    labels, split = [], []
+
+    def label(text):
+        labels.append(text.strip())
+        return float(text)
+
+    def split_label(text):
+        text = text.strip()
+        if text not in SPLIT_NAMES:
+            raise ValueError(text)
+        split.append(text)
+        return 0.0
+
+    converters = {label_idx: label}
+    if split_idx is not None:
+        converters[split_idx] = split_label
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            with warnings.catch_warnings():
+                # a header-only file is an error the exact path names
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                M = np.loadtxt(fh, delimiter=",", comments=None,
+                               quotechar=None, skiprows=skip, ndmin=2,
+                               converters=converters)
+    except ValueError:
+        return None
+    if M.shape[1] != len(header) or not M.size or not np.isfinite(M).all():
+        return None
+    y = M[:, label_idx].copy()
+    if classify and np.unique(y).size > 2:
+        return None
+    # fancy indexing copies, so A is C-contiguous as the exact path's is
+    return M[:, feat_idx], y, labels, split if split_idx is not None else None
+
+
+def _load_table(path, label_column, split_column, classify=False):
+    """(label name, feature names, A, y, split labels or None) of a CSV.
+
+    ``label_column`` None takes the column named ``label``, else the last
+    column that is not ``split_column``.  With ``classify``, y maps two
+    label values to -1 and +1 (the one whose first-seen text sorts first
+    to -1).  The body goes through numpy's C reader; the csv-module parser
+    reads it only where that reader returns None, or to name the line of
+    a third class, so every error names its physical line and cell.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader, path)
+        split_idx = (header.index(split_column) if split_column in header
+                     else None)
+        if label_column is None:
+            others = [j for j in range(len(header)) if j != split_idx]
+            if not others:
+                raise DataError("no feature columns left after label/split")
+            label_idx = (header.index("label") if "label" in header
+                         else others[-1])
+        elif label_column not in header:
+            raise DataError(
+                f"label column {label_column!r} not found; "
+                f"columns are {header}"
+            )
+        else:
+            label_idx = header.index(label_column)
+            if split_idx == label_idx:
+                raise DataError("label and split columns must differ")
+        feat_idx = [
+            j for j in range(len(header)) if j not in (label_idx, split_idx)
+        ]
+        if not feat_idx:
+            raise DataError("no feature columns left after label/split")
+        body = _read_body(path, reader.line_num, header, feat_idx,
+                          label_idx, split_idx, classify)
+        line_nos = None
+        if body is None:
+            rows, line_nos = _read_table(reader)
+            body = _parse_table(path, header, rows, line_nos, feat_idx,
+                                label_idx, split_idx)
+    A, y, labels, split = body
+    if classify:
+        # key classes by numeric value; remember first-seen text.  A third
+        # class sent the body through the exact path, which sets line_nos
+        classes = {}
+        for i, (tok, v) in enumerate(zip(labels, y.tolist())):
+            if v not in classes:
+                if len(classes) == 2:
+                    raise DataError(
+                        f"line {line_nos[i]}: more than two classes for "
+                        f"classification (had {sorted(classes.values())}, "
+                        f"then {tok!r})"
+                    )
+                classes[v] = tok
+        if len(classes) < 2:
+            raise DataError(
+                "classification needs exactly two distinct label values, "
+                f"found {len(classes)}"
+            )
+        lo, hi = sorted(classes, key=classes.get)
+        y = np.where(y == lo, -1.0, 1.0)
+    return (header[label_idx], tuple(header[j] for j in feat_idx), A, y,
+            split)
 
 
 def load_csv(path, label_column, task, split_column="split"):
@@ -384,7 +508,8 @@ def load_csv(path, label_column, task, split_column="split"):
     read as split labels instead of a feature; pass ``split_column=None``
     to disable that.  Classification labels may be any two distinct
     numeric values; the one whose first-seen text is lexicographically
-    smaller maps to -1.
+    smaller maps to -1.  A UTF-8 byte-order mark before the header is
+    skipped.
 
     Raises DataError with a line number for a repeated column name,
     ragged rows, non-numeric or non-finite cells, bad split labels, or a
@@ -392,41 +517,8 @@ def load_csv(path, label_column, task, split_column="split"):
     """
     if task not in ("regression", "classification"):
         raise DataError(f"unknown task {task!r}")
-    header, rows, line_nos = _read_table(path)
-    if label_column not in header:
-        raise DataError(
-            f"label column {label_column!r} not found; "
-            f"columns are {header}"
-        )
-    label_idx = header.index(label_column)
-    split_idx = None
-    if split_column is not None and split_column in header:
-        split_idx = header.index(split_column)
-        if split_idx == label_idx:
-            raise DataError("label and split columns must differ")
-    feat_idx, A, y, labels, split = _parse_table(
-        path, header, rows, line_nos, label_idx, split_idx)
-    if task == "classification":
-        # key classes by numeric value; remember first-seen text and line
-        classes = {}
-        for tok, ln, v in zip(labels, line_nos[1:], y.tolist()):
-            if v not in classes:
-                if len(classes) == 2:
-                    seen = sorted(c[0] for c in classes.values())
-                    raise DataError(
-                        f"line {ln}: more than two classes for "
-                        f"classification (had {seen}, then {tok!r})"
-                    )
-                classes[v] = (tok, ln)
-        if len(classes) < 2:
-            raise DataError(
-                "classification needs exactly two distinct label values, "
-                f"found {len(classes)}"
-            )
-        lo, hi = sorted(classes, key=lambda v: classes[v][0])
-        y = np.where(y == lo, -1.0, 1.0)
-
-    names = tuple(header[j] for j in feat_idx)
+    _, names, A, y, split = _load_table(
+        path, label_column, split_column, task == "classification")
     return Dataset(A, y, task, split=split, feature_names=names)
 
 

@@ -462,6 +462,13 @@ class TestDescribe:
         code, _, _ = run(capsys, "describe", str(path))
         assert code == 1
 
+    def test_byte_order_mark_skipped(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufefflabel,a\n0.5,1\n1.5,2\n", encoding="utf-8")
+        code, out, _ = run(capsys, "describe", str(path))
+        assert code == 0
+        assert out.splitlines()[:2] == ["n=2 p=1", "label column: label"]
+
     def test_split_column_only(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("split\ntrain\n")

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sparcreg import data
+from sparcreg.cli import main
 from sparcreg.data import (
     SPLIT_NAMES,
     ClassificationSpec,
@@ -253,6 +255,16 @@ class TestLoadCsvContract:
             load_csv(path, "label", "regression")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("label, names", [
+        ("y", ("a", "b")), ("b", ("y", "a")),
+    ], ids=["label-first", "feature-first"])
+    def test_byte_order_mark_skipped(self, tmp_path, label, names):
+        # Excel's "CSV UTF-8" export starts the file with one
+        path = tmp_path / "data.csv"
+        path.write_text("\ufeffy,a,b\n1,2,3\n4,5,6\n", encoding="utf-8")
+        ds = load_csv(path, label, "regression")
+        assert ds.feature_names == names
+
     def test_split_column_opt_out_keeps_it_as_feature(self, tmp_path):
         path = self._write(tmp_path, "a,split,label\n1,4,2\n")
         ds = load_csv(path, "label", "regression", split_column=None)
@@ -360,6 +372,94 @@ class TestCsvMatchesOracles:
         with pytest.raises(DataError) as new:
             load_csv(path, label, task, split_column)
         assert str(new.value) == str(old.value)
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text, task", [
+        ("a,label\r\n1,2\r\n3,4\r\n", "regression"),
+        ("a,label\r1,2\r\r3,4\r", "regression"),
+        ("a,label\n1,2,3\n4,5,6\n", "regression"),
+        ("a,label\n1,2,\n3,4,\n", "regression"),
+        ("a,label\n1,2\n  \n3,4\n", "regression"),
+        ("a,label\n1,2\n\f\n3,4\n", "regression"),
+        ('a,label\n"1",2\n3,4\n', "regression"),
+        ('a,label\n"1,5",2\n3,4\n', "regression"),
+        ('a,label,split\n1,2,"train"\n3,4,test\n', "regression"),
+        ("a,label\n1,2\n#3,4\n", "regression"),
+        ("\n\n a , label\n1,2\n3,4\n", "regression"),
+        ('"a\nb",label\n1,2\n3,4\n', "regression"),
+        ("a,label\n\n\n", "regression"),
+        ("a,label\n1_0,2\n3,4\n", "regression"),
+        ("a,label\n\u0661,2\n3,4\n", "regression"),
+        ("a,label\n1e400,2\n3,4\n", "regression"),
+        ("a,label\n\xa01\xa0,2\n3,\xa04\n", "regression"),
+        ("a,label\n1,0\n2,1\n3,2\n", "classification"),
+    ], ids=["crlf", "cr", "narrow-header", "trailing-comma",
+            "whitespace-line", "form-feed-line", "quoted-number",
+            "quoted-comma", "quoted-split", "hash", "blank-before-header",
+            "two-line-header", "header-and-blank-lines", "underscore",
+            "arabic-indic-digit", "overflow", "nbsp", "three-classes"])
+    def test_load_csv_fallback_rules(self, tmp_path, text, task):
+        """Inputs numpy's reader refuses or must not decide alone read as
+        the per-cell oracle reads them, warning-free."""
+        path = tmp_path / "d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            old = load_csv_percell(path, "label", task)
+        except DataError as exc:
+            with pytest.raises(DataError) as new:
+                load_csv(path, "label", task)
+            assert str(new.value) == str(exc)
+            return
+        new = load_csv(path, "label", task)
+        assert new.A.tobytes() == old.A.tobytes()
+        assert new.y.tobytes() == old.y.tobytes()
+        assert (new.split is None) == (old.split is None)
+        if old.split is not None:
+            assert new.split.tolist() == old.split.tolist()
+        assert new.feature_names == old.feature_names
+
+
+def _refuse(*args):
+    raise AssertionError("the exact CSV path ran")
+
+
+class TestCsvFastPath:
+    """A file ``write_csv`` wrote never needs the csv-module body parser."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")  # 1e300 norms
+    @pytest.mark.parametrize("seed", range(30))
+    def test_regression(self, tmp_path, monkeypatch, capsys, seed):
+        rng = np.random.default_rng(seed)
+        names = [["a,b", 'q"x', "f 3"], ["x"], ["f1", "f2", "c\nd"]]
+        ds = _random_dataset(rng, split=seed % 2 == 0,
+                             names=names[seed % len(names)])
+        path = tmp_path / "d.csv"
+        write_csv(ds, path)
+        monkeypatch.setattr(data, "_read_table", _refuse)
+        back = load_csv(path, "label", "regression")
+        assert back.A.tobytes() == ds.A.tobytes()
+        assert back.y.tobytes() == ds.y.tobytes()
+        assert back.feature_names == ds.feature_names
+        if ds.split is None:
+            assert back.split is None
+        else:
+            assert back.split.tolist() == ds.split.tolist()
+        assert main(["describe", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"n={ds.n} p={ds.p}\n")
+
+    def test_classification(self, tmp_path, monkeypatch, capsys):
+        ds = generate_grouped_classification(ClassificationSpec(
+            n_train=30, n_validation=20, n_test=10, n_irrelevant=5, seed=3))
+        path = tmp_path / "d.csv"
+        write_csv(ds, path, label_column="y")
+        monkeypatch.setattr(data, "_read_table", _refuse)
+        back = load_csv(path, "y", "classification")
+        assert back.A.tobytes() == ds.A.tobytes()
+        assert back.y.tobytes() == ds.y.tobytes()
+        assert back.split.tolist() == ds.split.tolist()
+        assert main(["describe", str(path)]) == 0
+        assert "task=classification (inferred)" in capsys.readouterr().out
 
 
 class TestSplitDataset:

@@ -29,6 +29,7 @@ from .data import (
     DataError,
     SPLIT_NAMES,
     SyntheticSpec,
+    _column_norms,
     _load_table,
     load_csv,
     normalize_dataset,
@@ -346,7 +347,7 @@ def cmd_describe(args):
     label, _, A, y, split = _load_table(args.csv, None, "split")
     values, counts = np.unique(y, return_counts=True)
     task = "classification" if values.size == 2 else "regression"
-    norms = np.sqrt((A * A).sum(axis=0))
+    norms = _column_norms(A)
 
     print(f"n={A.shape[0]} p={A.shape[1]}")
     print(f"label column: {label}")

@@ -134,9 +134,16 @@ class Dataset:
         return self.split == part
 
     def part(self, name):
-        """(A_rows, y_rows) for one split part."""
+        """(A_rows, y_rows) for one split part, as read-only arrays.
+
+        When the part's rows form one contiguous block, as in every
+        generated dataset and every CSV that ``write_csv`` wrote with a
+        split column, these are views of A and y and copy nothing;
+        otherwise they are copies.  Either way they hold the bytes of
+        ``A[mask]`` and ``y[mask]``.
+        """
         m = self.mask(name)
-        return self.A[m], self.y[m]
+        return _select_rows(self.A, m), _select_rows(self.y, m)
 
 
 @dataclass(frozen=True)
@@ -227,27 +234,32 @@ def _grouped_design(rng, spec):
     """Raw (unnormalized) block design: grouped columns, then noise columns.
 
     Draw order is fixed (factors, within-group noise, tail columns) so the
-    same seed always yields the same matrix.
+    same seed always yields the same matrix.  The (n, p) matrix is the
+    only allocation of its size: the tail is drawn row by row into it,
+    which consumes the stream exactly as one (n, p - k) draw would.
     """
     n = spec.n
     k = spec.n_groups * spec.group_size
+    A = np.empty((n, spec.p))
     z = rng.standard_normal((n, spec.n_groups))
     eps = rng.standard_normal((n, k)) * np.sqrt(spec.within_noise_var)
-    tail = rng.standard_normal((n, spec.n_irrelevant))
-    grouped = np.repeat(z, spec.group_size, axis=1) + eps
-    return np.hstack([grouped, tail])
+    np.add(np.repeat(z, spec.group_size, axis=1), eps, out=A[:, :k])
+    for row in A[:, k:]:
+        rng.standard_normal(out=row)
+    return A
 
 
 def _generate(spec, noise_sd):
     """(A, A x* + noise, x*, split, names) for either generator.
 
-    The noise, with standard deviation ``noise_sd``, is drawn last.
+    The design is scaled in place.  The noise, with standard deviation
+    ``noise_sd``, is drawn last.
     """
     rng = np.random.default_rng(spec.seed)
-    A_raw = _grouped_design(rng, spec)
+    A = _grouped_design(rng, spec)
     split = _split_labels(spec.n_train, spec.n_validation, spec.n_test)
     names = tuple(f"f{j}" for j in range(1, spec.p + 1))
-    A, _ = normalize_columns(A_raw, split == "train", names)
+    A /= _train_scales(A, split == "train", names)
     x_true = np.concatenate([
         np.full(spec.n_groups * spec.group_size, spec.signal),
         np.zeros(spec.n_irrelevant),
@@ -429,8 +441,10 @@ def _read_body(path, skip, header, feat_idx, label_idx, split_idx,
     y = M[:, label_idx].copy()
     if classify and np.unique(y).size > 2:
         return None
-    # fancy indexing copies, so A is C-contiguous as the exact path's is
-    return M[:, feat_idx], y, labels, split if split_idx is not None else None
+    # take copies into a C-contiguous A, as the exact path's is; M[:, idx]
+    # would be column-major, and Dataset.part copies rows of that
+    A = np.take(M, feat_idx, axis=1)
+    return A, y, labels, split if split_idx is not None else None
 
 
 def _load_table(path, label_column, split_column, classify=False):
@@ -588,27 +602,78 @@ def _column_name(names, j):
     return names[j] if names is not None else str(j)
 
 
+def _select_rows(M, rows):
+    """``M[rows]`` for a boolean mask or an index array, read-only.
+
+    A mask whose rows form one block of a C-contiguous M gives a
+    basic-slice view, which copies nothing; any other selection is the
+    copy that mask or index selection makes.  Both are C-contiguous and
+    hold the same bytes.
+    """
+    rows = np.asarray(rows)
+    out = None
+    if rows.dtype == bool and rows.shape == M.shape[:1]:
+        idx = np.flatnonzero(rows)
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            out = M[idx[0]:idx[-1] + 1]
+    if out is None or not out.flags.c_contiguous:
+        out = M[rows]
+    out.flags.writeable = False
+    return out
+
+
+def _column_norms(T):
+    """Euclidean norm of each column of T, free of overflow and underflow.
+
+    A column whose sum of squares is finite and nonzero gets the bytes of
+    ``np.sqrt((T * T).sum(axis=0))``.  The others, whose squares overflow
+    (cells above ~1e154) or underflow (below ~1e-162), are summed again
+    after division by their largest magnitude.  Only an all-zero column
+    has norm 0, and only a norm beyond the float range is inf.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((T * T).sum(axis=0))
+        redo = np.flatnonzero((norms == 0) | np.isinf(norms))
+        if redo.size:
+            S = T[:, redo]
+            big = np.abs(S).max(axis=0)
+            S = np.divide(S, big, out=np.zeros_like(S), where=big > 0)
+            norms[redo] = big * np.sqrt((S * S).sum(axis=0))
+    return norms
+
+
+def _train_scales(A, train_rows, feature_names):
+    """Column norms of A on the training rows; raises unless all are
+    finite and nonzero."""
+    T = A if train_rows is None else _select_rows(A, train_rows)
+    if T.shape[0] == 0:
+        raise ValueError("no training rows to compute norms from")
+    scales = _column_norms(T)
+    for bad, why in ((scales == 0, "is zero"),
+                     (np.isinf(scales), "has a norm beyond the float range")):
+        j = np.flatnonzero(bad)
+        if j.size:
+            name = _column_name(feature_names, j[0])
+            raise ValueError(
+                f"column {name!r} {why} on the training rows; "
+                "cannot normalize"
+            )
+    return scales
+
+
 def normalize_columns(A, train_rows=None, feature_names=None):
     """Scale columns to unit Euclidean norm measured on the training rows.
 
     Returns (scaled matrix, scale vector); dividing fitted coefficients by
     the scales maps them back to the raw feature units.  train_rows is a
-    boolean mask or index array; None uses every row.
+    boolean mask or index array; None uses every row.  Norms are computed
+    without overflow or underflow; a column that is zero on the training
+    rows, or whose norm exceeds the float range, raises ValueError.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be 2-D, got shape {A.shape}")
-    T = A if train_rows is None else A[train_rows]
-    if T.shape[0] == 0:
-        raise ValueError("no training rows to compute norms from")
-    scales = np.sqrt((T * T).sum(axis=0))
-    zero = np.flatnonzero(scales == 0)
-    if zero.size:
-        name = _column_name(feature_names, zero[0])
-        raise ValueError(
-            f"column {name!r} is zero on the training rows; "
-            "cannot normalize"
-        )
+    scales = _train_scales(A, train_rows, feature_names)
     return A / scales, scales
 
 

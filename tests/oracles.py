@@ -433,3 +433,29 @@ def load_csv_percell(path, label_column, task, split_column="split"):
     split = np.asarray(split_vals) if split_idx is not None else None
     names = tuple(header[j] for j in feat_idx)
     return Dataset(A, y, task, split=split, feature_names=names)
+
+
+# ------------------------------------------------------ generator oracle
+
+def generate_hstack(spec, classify=False):
+    """(A, y) of the synthetic generators as first written.
+
+    The tail columns are one (n, n_irrelevant) draw that ``np.hstack``
+    joins to the grouped block, the train rows are copied by mask, and
+    the scaled design is a new array.  ``classify`` gives the labels of
+    ``generate_grouped_classification`` for a ``ClassificationSpec``.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n, k = spec.n, spec.n_groups * spec.group_size
+    z = rng.standard_normal((n, spec.n_groups))
+    eps = rng.standard_normal((n, k)) * np.sqrt(spec.within_noise_var)
+    tail = rng.standard_normal((n, spec.n_irrelevant))
+    A_raw = np.hstack([np.repeat(z, spec.group_size, axis=1) + eps, tail])
+    T = A_raw[np.arange(n) < spec.n_train]
+    A = A_raw / np.sqrt((T * T).sum(axis=0))
+    x_true = np.concatenate([np.full(k, spec.signal),
+                             np.zeros(spec.n_irrelevant)])
+    noise_sd = (spec.margin_noise_sd if classify
+                else np.sqrt(spec.observation_noise_var))
+    margin = A @ x_true + rng.standard_normal(n) * noise_sd
+    return A, (np.where(margin >= 0, 1.0, -1.0) if classify else margin)

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,19 @@ class TestDescribe:
         assert "class 0: 2 rows" in out
         assert "class 1: 2 rows" in out
         assert "split train: 2 rows" in out
+
+    @pytest.mark.parametrize("scale, norms", [
+        ("e200", "[3.16228, 2.23607e+200]"),
+        ("e-200", "[2.23607e-200, 3.16228]"),
+    ], ids=["huge", "tiny"])
+    def test_column_norms_stay_finite(self, capsys, tmp_path, scale, norms):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b,label\n1{scale},1,0.5\n2{scale},3,1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "describe", str(path))
+        assert code == 0
+        assert f"column norms in {norms}\n" in out
 
     @pytest.mark.parametrize("text, message", [
         ("a,b,label\n1,2,0.5\n3,inf,1.5\n",

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,7 +23,9 @@ from sparcreg.data import (
     top_correlation_screen,
     write_csv,
 )
-from oracles import load_csv_percell, write_csv_rowwise
+from sparcreg.experiment import grid_search
+from sparcreg.regularizers import Lasso
+from oracles import generate_hstack, load_csv_percell, write_csv_rowwise
 
 
 class TestSyntheticRegression:
@@ -106,6 +111,74 @@ class TestSyntheticClassification:
         npt.assert_array_equal(a.y, b.y)
 
 
+# (seed, spec fields): default sizes, a single train row, a single
+# feature, no tail columns, and p = 200 and 10 000
+_GENERATOR_CASES = [
+    (seed, fields) for seed in (0, 1, 7919) for fields in (
+        {},
+        {"n_train": 1},
+        {"n_groups": 1, "group_size": 1, "n_irrelevant": 0},
+        {"n_irrelevant": 0},
+        {"n_irrelevant": 185},
+    )
+] + [(seed, {"n_irrelevant": 9985, "n_train": 200, "n_validation": 100,
+             "n_test": 100}) for seed in (0, 7919)]
+
+
+class TestGeneratorMatchesOracle:
+    """The in-place generators give the bytes of the hstack-and-copy
+    generator they replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("seed,fields", _GENERATOR_CASES)
+    def test_regression(self, seed, fields):
+        spec = SyntheticSpec(seed=seed, **fields)
+        ds = generate_synthetic(spec)
+        A, y = generate_hstack(spec)
+        assert ds.A.tobytes() == A.tobytes()
+        assert ds.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("seed,fields", _GENERATOR_CASES)
+    def test_classification(self, seed, fields):
+        spec = ClassificationSpec(seed=seed, **fields)
+        ds = generate_grouped_classification(spec)
+        A, y = generate_hstack(spec, classify=True)
+        assert ds.A.tobytes() == A.tobytes()
+        assert ds.y.tobytes() == y.tobytes()
+
+
+def _traced_peak(fn):
+    """(result of fn(), bytes allocated at fn's peak above its start)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestLargeDesignMemory:
+    """A large design exists once, plus the solver's column-major copy of
+    the train rows.  The hstack generator peaked at 2.55 A.nbytes, and
+    ``grid_search`` at 2.01 times the train bytes."""
+
+    SPEC = SyntheticSpec(n_irrelevant=9985, n_train=200, n_validation=100,
+                         n_test=100, seed=0)
+
+    def test_generation_peak(self):
+        ds, peak = _traced_peak(lambda: generate_synthetic(self.SPEC))
+        assert peak <= 1.6 * ds.A.nbytes
+
+    def test_grid_search_makes_one_copy(self):
+        ds = generate_synthetic(self.SPEC)
+        _, peak = _traced_peak(lambda: grid_search(ds, [Lasso(4.0)]))
+        assert peak <= 1.25 * ds.part("train")[0].nbytes
+
+
 class TestDatasetContainer:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -122,6 +195,68 @@ class TestDatasetContainer:
         ds = Dataset(np.ones((2, 2)), np.ones(2), "regression")
         with pytest.raises(ValueError):
             ds.part("train")
+
+
+def _check_part(ds, name, contiguous):
+    m = ds.mask(name)
+    for got, full in zip(ds.part(name), (ds.A, ds.y)):
+        assert got.tobytes() == full[m].tobytes()
+        assert got.shape == full[m].shape
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.shares_memory(got, full) == contiguous
+        with pytest.raises(ValueError):
+            got[...] = 0.0
+
+
+def _is_block(mask):
+    idx = np.flatnonzero(mask)
+    return idx.size > 0 and idx[-1] - idx[0] + 1 == idx.size
+
+
+class TestDatasetPart:
+    """``part`` holds the bytes of mask indexing, read-only, as a view
+    exactly when the rows are one contiguous block."""
+
+    @pytest.mark.parametrize("labels", [
+        "TTVVEE", "EETTTV", "VTTTTE", "TVTVEE", "TEETVV", "ETVTVE"])
+    def test_contract(self, labels):
+        names = {"T": "train", "V": "validation", "E": "test"}
+        split = [names[c] for c in labels]
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(6, 3)), rng.normal(size=6),
+                     "regression", split=split)
+        for name in SPLIT_NAMES:
+            _check_part(ds, name, _is_block(ds.mask(name)))
+        assert ds.A.flags.writeable and ds.y.flags.writeable
+
+    def test_generated_parts_are_views(self):
+        ds = generate_synthetic()
+        for name in SPLIT_NAMES:
+            _check_part(ds, name, True)
+
+    def test_csv_parts_are_views(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(generate_synthetic(SyntheticSpec(
+            n_train=5, n_validation=4, n_test=3, n_irrelevant=2)), path)
+        ds = load_csv(path, "label", "regression")
+        for name in SPLIT_NAMES:
+            _check_part(ds, name, True)
+
+    def test_scattered_split_is_copied(self):
+        ds = split_dataset(generate_synthetic(), (0.5, 0.25, 0.25), seed=0)
+        for name in SPLIT_NAMES:
+            assert not _is_block(ds.mask(name))
+            _check_part(ds, name, False)
+
+    def test_column_major_rows_are_copied(self):
+        base = generate_synthetic(SyntheticSpec(
+            n_train=5, n_validation=4, n_test=3, n_irrelevant=2))
+        ds = Dataset(np.asfortranarray(base.A), base.y, base.task,
+                     split=base.split)
+        A, y = ds.part("train")
+        assert A.tobytes() == ds.A[ds.mask("train")].tobytes()
+        assert A.flags.c_contiguous and not np.shares_memory(A, ds.A)
+        assert np.shares_memory(y, ds.y)
 
 
 class TestCsvRoundTrip:
@@ -427,7 +562,6 @@ def _refuse(*args):
 class TestCsvFastPath:
     """A file ``write_csv`` wrote never needs the csv-module body parser."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")  # 1e300 norms
     @pytest.mark.parametrize("seed", range(30))
     def test_regression(self, tmp_path, monkeypatch, capsys, seed):
         rng = np.random.default_rng(seed)
@@ -518,6 +652,42 @@ class TestColumnScaling:
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="'x2'"):
             normalize_columns(A, feature_names=("x1", "x2"))
+
+    @pytest.mark.parametrize("tiny", [False, True])
+    def test_norms_neither_overflow_nor_underflow(self, tiny):
+        e = 1e-200 if tiny else 1e200
+        A = np.array([[1.0 * e, 1.0], [2.0 * e, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled, scales = normalize_columns(A)
+        npt.assert_allclose(scales, [np.sqrt(5.0) * e, np.sqrt(10.0)],
+                            rtol=1e-15)
+        npt.assert_allclose(scaled[:, 0], [1 / np.sqrt(5), 2 / np.sqrt(5)],
+                            rtol=1e-15)
+        # a column whose squares stay in range keeps the plain expression
+        assert scales[1] == np.sqrt(1.0 + 9.0)
+
+    def test_norm_beyond_float_range_rejected(self):
+        A = np.array([[1.5e308, 1.0], [1.5e308, 2.0]])
+        with pytest.raises(ValueError, match="'big' has a norm beyond"):
+            normalize_columns(A, feature_names=("big", "ok"))
+
+    def test_row_selection_errors_kept(self):
+        A = np.ones((3, 2))
+        with pytest.raises(IndexError):
+            normalize_columns(A, train_rows=np.array([True, True]))
+        with pytest.raises(IndexError):
+            normalize_columns(A, train_rows=np.array([1, 2, 3]))
+
+    @pytest.mark.parametrize("rows", [[1, 2], [2, 1], [-2, -1], [0, 2],
+                                      [True, False, True],
+                                      [False, True, True]])
+    def test_row_selections_match_indexing(self, rows):
+        A = np.array([[3.0, 1.0], [4.0, 2.0], [12.0, 2.0]])
+        T = A[np.asarray(rows)]
+        scaled, scales = normalize_columns(A, train_rows=rows)
+        assert scales.tobytes() == np.sqrt((T * T).sum(axis=0)).tobytes()
+        assert scaled.tobytes() == (A / scales).tobytes()
 
     def test_standardize(self):
         A = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 20.0]])

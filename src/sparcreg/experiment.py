@@ -154,9 +154,10 @@ def grid_search(ds, grid, config=None):
     grid = tuple(grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
-    # one Objective checks the train rows and holds them in the layout the
-    # solver picks for their size; every grid point's is derived from it
-    train = Objective(*ds.part("train"), grid[0])
+    # one Objective checks the train rows and holds them, copied at most
+    # once, in the layout the solver picks for their size; every grid
+    # point's is derived from it
+    train = Objective._of_rows(ds.A, ds.y, ds.mask("train"), grid[0])
     A_val, y_val = ds.part("validation")
     if train.A.shape[0] == 0 or A_val.shape[0] == 0:
         raise ValueError("train and validation splits must be non-empty")

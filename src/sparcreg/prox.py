@@ -8,7 +8,7 @@ sort / shrink / pool proximity operators assembled from them.
 
 Every function is pure and operates on 1-D float arrays.  The public
 functions validate their arguments and then call private kernels
-(``_soft``, ``_owl``, ``_prox_oscar``, ``_top_k``, ``_prox_terms``) that
+(``_soft``, ``_owl``, ``_prox_sorted``, ``_top_k``, ``_prox_terms``) that
 assume a finite 1-D float64 vector and checked parameters; callers that
 have already validated, such as ``regularizers.prox``, call the kernels
 directly.
@@ -179,20 +179,23 @@ def isotonic_decreasing(u):
     return _pava(u)
 
 
-def _prox_oscar(v, lam1, lam2):
-    """prox_oscar's kernel; sorts only the magnitudes above lam1.
+def _prox_sorted(v, lam1, lam2, d):
+    """The OSCAR prox's kernel: (order, mags), the indices of the ranks it
+    sorts and their output magnitudes, non-increasing.
 
+    ``d`` is the OWL dimension, at least v.size: a v that stands for a
+    d-vector which is zero elsewhere takes the first of the d weights.
     Every weight is at least lam1, so an entry with |v_i| <= lam1 has
     u_i <= 0 and clips to zero, and such entries are the trailing ranks of
     the full stable sort.  Sorting the rest therefore gives exactly the
     leading ranks of the full order.  PAVA never merges a positive block
     with the nonpositive ranks behind it, so the result is bit-for-bit that
-    of sorting all p magnitudes.
+    of sorting all d magnitudes.
     """
     mags = np.abs(v)
     top = (mags > lam1).nonzero()[0]
     order = top[np.argsort(-mags[top], kind="stable")]
-    u = mags[order] - _owl(lam1, lam2, v.size, top.size)
+    u = mags[order] - _owl(lam1, lam2, d, top.size)
     if not _is_non_increasing(u):
         # Entries after the last positive one pool only into blocks whose
         # mean is <= 0, which never merge into a positive block and clip to
@@ -201,9 +204,7 @@ def _prox_oscar(v, lam1, lam2):
         m = positive[-1] + 1 if positive.size else 0
         u[:m] = _pava(u[:m])
         u[m:] = 0.0
-    out = np.zeros(v.size)
-    out[order] = np.maximum(u, 0.0)
-    return np.sign(v) * out
+    return order, np.maximum(u, 0.0, out=u)
 
 
 def prox_oscar(v, lam1, lam2):
@@ -218,8 +219,8 @@ def prox_oscar(v, lam1, lam2):
     |v_i| >= |v_j| implies |out_i| >= |out_j| and sign(out_i) is either 0
     or sign(v_i).
     """
-    return _prox_oscar(_as_vector(v), _check_nonneg(lam1, "lam1"),
-                       _check_nonneg(lam2, "lam2"))
+    return _prox_terms(_as_vector(v), _check_nonneg(lam1, "lam1"),
+                       _check_nonneg(lam2, "lam2"), None, None)[0]
 
 
 def _top_k(v, k):
@@ -249,20 +250,36 @@ def project_k_sparse(v, k):
     return out
 
 
-def _prox_terms(v, l1, slope, ridge, k):
-    """The prox of the penalty family's terms (see ``regularizers``).
+def _prox_terms(v, l1, slope, ridge, k, d=None):
+    """The prox of the penalty family's terms (see ``regularizers``), and
+    the output magnitudes the penalty is priced on.
 
     Soft thresholding without a slope, the OSCAR prox with one, then the
     ridge shrink 1/(1 + ridge); a cap k applies this to the k largest
-    magnitudes and zeroes the rest.  None marks an absent term.
+    magnitudes and zeroes the rest.  None marks an absent term.  Returns
+    (out, mags): with a slope, mags are the sorted ranks' magnitudes,
+    non-increasing, and every other entry of out is 0; without one, the
+    magnitudes of out in the order of v (of its top k under a cap).  ``d``
+    (default v.size) is the OWL dimension of an uncapped slope, for a v
+    that is the part of a d-vector outside of which it is zero.
     """
     if k is not None:
         idx = _top_k(v, k)
         out = np.zeros_like(v)
-        out[idx] = _prox_terms(v[idx], l1, slope, ridge, None)
-        return out
-    out = _soft(v, l1) if slope is None else _prox_oscar(v, l1, slope)
-    return out if ridge is None else out / (1.0 + ridge)
+        out[idx], mags = _prox_terms(v[idx], l1, slope, ridge, None)
+        return out, mags
+    if slope is None:
+        mags = np.maximum(np.abs(v) - l1, 0.0)
+    else:
+        order, mags = _prox_sorted(v, l1, slope, v.size if d is None else d)
+    if ridge is not None:
+        # sign * (m / c) has the bits of (sign * m) / c: a sign is -1, 0 or 1
+        mags = mags / (1.0 + ridge)
+    out = mags
+    if slope is not None:
+        out = np.zeros(v.size)
+        out[order] = mags
+    return np.sign(v) * out, mags
 
 
 def prox_sparc(v, lam, k):
@@ -274,4 +291,4 @@ def prox_sparc(v, lam, k):
     """
     v = _as_vector(v)
     return _prox_terms(v, 0.0, _check_nonneg(lam, "lam"), None,
-                       _check_k(k, v.size))
+                       _check_k(k, v.size))[0]

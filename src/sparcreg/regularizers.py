@@ -204,7 +204,7 @@ def prox(reg, v, alpha=1.0):
     v = _as_vector(v)
     if k is not None:
         _check_k(k, v.size)
-    return _prox_terms(v, l1, slope, ridge, k)
+    return _prox_terms(v, l1, slope, ridge, k)[0]
 
 
 def prox_objective(reg, v, z, alpha=1.0):

@@ -33,23 +33,29 @@ norms c_j = ||A_j||, which ``Objective`` computes once, each entry obeys
 |g_j - g_ref_j| <= c_j ||r - r_ref||.  Only the entries where x is nonzero
 or where that bound, plus a rounding slack proportional to
 n eps c_j (||r|| + ||r_ref||), can reach the prox's zero threshold are
-computed, as ``A.T[E] @ r``; the others are 0.  Without a cap the
-threshold is the l1 weight: an off-support entry with |g_j| <= l1 comes
-out of the prox as 0 either way.  Under a cap k an entry is skipped when
-its upper bound lies a few ulps below the k-th largest off-support lower
-bound, so k computed entries beat it at every alpha.  The prox output is
-therefore that of the full product, up to the sign of a zero.  When more
-than p / 4 entries would be computed, the dense product is taken and
-becomes the new reference.  With l1 = 0 and no cap, or a cap above p / 4,
-every product is dense.  A gathered entry may differ in the last bit from
-the dense product: OpenBLAS's ``dgemv_t`` takes the columns 4 at a time,
-and the last ``|E| mod 4`` ones go through other code.  In ``largep-path``
-at seed 0, 2 156 of 2 921 gradients were screened, over 451 columns on
-average.
+computed, as ``A.T[E] @ r``.  Without a cap the threshold is the l1
+weight: an off-support entry with |g_j| <= l1 comes out of the prox as 0
+either way.  Under a cap k an entry is skipped when its upper bound lies
+a few ulps below the k-th largest off-support lower bound, so k computed
+entries beat it at every alpha.  The step then runs on E alone: the prox
+of x_E - g_E / alpha, with the OWL dimension p, scattered into a zero
+p-vector.  That is the prox of the gradient step with every skipped entry
+0, bit for bit, and the prox of the full product up to the sign of a zero.
+When more than p / 4 entries would be computed, the dense product is
+taken and becomes the new reference.  With l1 = 0 and no cap, or a cap
+above p / 4, every product is dense.  A gathered entry may differ in the
+last bit from the dense product: OpenBLAS's ``dgemv_t`` takes the columns
+4 at a time, and the last ``|E| mod 4`` ones go through other code.  In
+``largep-path`` at seed 0, 2 156 of 2 921 gradients were screened, over
+451 columns on average.
 
-The objective and x0 are checked on entry; inside the loop each candidate
-pays for one checked ``prox`` call, and its objective and the BB ratio go
-through unchecked code guarded by the loop's own finiteness tests.
+The objective and x0 are checked on entry.  Each candidate is one step
+(``_Step``) that computes every quantity once: the checks of a ``prox``
+call (the scaled terms, a finite argument, k <= p), the prox kernel,
+which also returns the output magnitudes it holds in rank order, the
+penalty priced on those with weights built once per solve, and the
+residual over the support of the prox output.  Every output is that of
+the checked calls, bit for bit.
 """
 
 from __future__ import annotations
@@ -60,8 +66,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prox import _as_vector, project_k_sparse
-from .regularizers import _penalty, _terms, penalty_value, prox
+from .data import _select_rows
+from .prox import _as_vector, _check_k, _owl, _prox_terms, project_k_sparse
+from .regularizers import _penalty, _scale, _terms, penalty_value
+# unused here; kept importable because bench/tracer.py patches this binding
+from .regularizers import prox  # noqa: F401
 
 __all__ = [
     "Objective",
@@ -93,6 +102,9 @@ _SUPPORT_PRODUCTS_MIN_SIZE = 1 << 16
 _SUPPORT_PRODUCTS_MAX_FRACTION = 0.25
 # one rounding unit of float64 (2**-52)
 _EPS = float(np.finfo(float).eps)
+# columns per block when scattered rows are gathered into a column-major
+# copy: a (rows, 256) temporary, 0.4 MB at 200 rows
+_GATHER_COLUMNS = 256
 
 
 @dataclass(frozen=True)
@@ -125,16 +137,39 @@ class Objective:
             raise ValueError(
                 f"A has {A.shape[0]} rows but y has {y.size} entries"
             )
-        if not (np.isfinite(A).all() and np.isfinite(y).all()):
+        if not np.isfinite(y).all():
             raise ValueError("A and y must be finite")
         if A.size >= _SUPPORT_PRODUCTS_MIN_SIZE:
             A = np.asfortranarray(A)
             # einsum sums each column's squares in place, without the
-            # (n, p) temporary of np.linalg.norm(A, axis=0)
-            object.__setattr__(self, "col_norms",
-                               np.sqrt(np.einsum("ij,ij->j", A, A)))
+            # (n, p) temporary of np.linalg.norm(A, axis=0).  An inf or nan
+            # entry makes its column's norm non-finite, so A is scanned
+            # only when a norm is; the scan then tells such an entry from a
+            # finite one above ~1e154, whose square overflows
+            norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+            finite = np.isfinite(norms).all() or np.isfinite(A).all()
+            object.__setattr__(self, "col_norms", norms)
+        else:
+            finite = np.isfinite(A).all()
+        if not finite:
+            raise ValueError("A and y must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
+
+    @classmethod
+    def _of_rows(cls, A, y, rows, reg):
+        """``Objective(A[rows], y[rows], reg)`` for a boolean row mask,
+        with at most one copy of the rows: from 2**16 entries on, rows that
+        are not one contiguous block go straight into the column-major
+        copy, a block of columns at a time."""
+        idx = np.flatnonzero(rows)
+        n, p = idx.size, A.shape[1]
+        if n * p < _SUPPORT_PRODUCTS_MIN_SIZE or idx[-1] - idx[0] + 1 == n:
+            return cls(_select_rows(A, rows), _select_rows(y, rows), reg)
+        F = np.empty((n, p), order="F")
+        for j in range(0, p, _GATHER_COLUMNS):
+            F[:, j:j + _GATHER_COLUMNS] = A[idx, j:j + _GATHER_COLUMNS]
+        return cls(F, y[idx], reg)
 
     def _with_reg(self, reg):
         """This objective with ``reg``, sharing the checked A and y and the
@@ -181,7 +216,8 @@ class SolverStats:
     rejected candidate.  Products with A (start, candidate and BB
     products) are dense or gathered over the support of x; products with
     A^T are dense or screened, and ``At_columns`` sums the columns that
-    the screened ones gathered.
+    the screened ones gathered.  ``prox_entries`` sums the entries the
+    prox steps ran on: p per step, or the screened coordinates.
     """
 
     candidates: int = 0
@@ -191,6 +227,7 @@ class SolverStats:
     At_dense: int = 0
     At_screened: int = 0
     At_columns: int = 0
+    prox_entries: int = 0
 
 
 @dataclass(frozen=True)
@@ -203,17 +240,24 @@ class SolverResult:
     stats: SolverStats = field(default_factory=SolverStats)
 
 
-def _times_A(obj, x, stats=None):
+def _support(x):
+    # x.nonzero()'s indices, faster on a mask
+    return (x != 0).nonzero()[0]
+
+
+def _times_A(obj, x, stats=None, support=None):
     """A x; from 2**16 entries on, over the columns where x is nonzero,
-    unless it has more than p / 4 of them."""
+    unless it has more than p / 4 of them.  ``support``, where the caller
+    knows it, holds those columns in ascending order and spares the scan
+    of x."""
     A = obj.A
     if A.size >= _SUPPORT_PRODUCTS_MIN_SIZE:
-        support = x != 0
-        if np.count_nonzero(support) <= _SUPPORT_PRODUCTS_MAX_FRACTION * x.size:
+        if support is None:
+            support = _support(x)
+        if support.size <= _SUPPORT_PRODUCTS_MAX_FRACTION * x.size:
             if stats is not None:
                 stats.A_gathered += 1
-            nz = support.nonzero()[0]  # x.nonzero()'s indices, faster on a mask
-            return A[:, nz] @ x[nz]
+            return A[:, support] @ x[support]
     if stats is not None:
         stats.A_dense += 1
     return A @ x
@@ -247,7 +291,8 @@ def gradient_smooth(obj, x):
 
 
 class _GradientScreen:
-    """A^T r of one solve, exact only on the coordinates the prox can move.
+    """A^T r of one solve, computed only on the coordinates the prox can
+    move.
 
     Keeps the last dense gradient g_ref = A^T r_ref.  With c_j = ||A_j||
     and delta = ||r - r_ref||, every entry obeys
@@ -256,8 +301,9 @@ class _GradientScreen:
     both computed products (n eps / 2 times c_j ||r|| each), of the
     computed norms and of the bounds themselves with room to spare.  An
     entry is computed when x_j is nonzero or its bound can reach the prox's
-    zero threshold; every other entry is 0, and the prox of the step comes
-    out as it would from the full product, up to the sign of a zero:
+    zero threshold, and the step runs on those coordinates E alone; with
+    every other entry 0, its prox would come out the same, up to the sign
+    of a zero:
 
     * without a cap the threshold is the l1 weight: an entry with
       |g_j| <= l1 and x_j = 0 soft-thresholds to 0, and the OSCAR prox
@@ -276,6 +322,7 @@ class _GradientScreen:
         self.col_norms = obj.col_norms
         self.l1 = l1
         self.k = k
+        self.p = p
         self.cut = _SUPPORT_PRODUCTS_MAX_FRACTION * p
         self.slack = 4 * (n + 4) * _EPS
         self.mags = None  # |g_ref|; None until the first dense product
@@ -295,54 +342,59 @@ class _GradientScreen:
             return None
         return cls(obj, l1, k)
 
-    def gradient(self, x, r, stats):
+    def gradient(self, support, r, stats):
         if self.mags is not None:
-            cols = self._columns(x, r)
+            cols = self._columns(support, r)
             if cols is not None:
                 stats.At_screened += 1
                 stats.At_columns += cols.size
-                g = np.zeros(x.size)
                 # the rows of the row-major A^T, not A[:, cols]: the same
                 # bytes, ~15% faster at 450 of 200 x 10 000 columns
-                g[cols] = self.At[cols] @ r
-                return g
+                return cols, self.At[cols] @ r
         stats.At_dense += 1
         g = self.At @ r
         self.mags = np.abs(g)
         self.r_ref = r
         self.r_ref_norm = math.sqrt(r @ r)
-        return g
+        return None, g
 
-    def _columns(self, x, r):
+    def _columns(self, support, r):
         """The coordinates to compute, or None if there are more than p / 4."""
         d = r - self.r_ref
         rad = math.sqrt(d @ d) \
             + self.slack * (math.sqrt(r @ r) + self.r_ref_norm)
         width = self.col_norms * rad
-        support = x != 0
         if self.k is None:
             keep = self.mags + width > self.l1
         else:
             low = self.mags - width
             low[support] = -np.inf
-            kth = np.partition(low, x.size - self.k)[x.size - self.k]
+            kth = np.partition(low, self.p - self.k)[self.p - self.k]
             if kth <= 0:
                 return None
             high = self.mags + width
             high *= 1 + 4 * _EPS  # strictly below, even after dividing by alpha
             keep = high >= kth
-        keep |= support
+        keep[support] = True
         if np.count_nonzero(keep) > self.cut:
             return None
         return keep.nonzero()[0]
 
 
-def _gradient(obj, x, r, screen, stats):
-    """A^T r: the dense product, or through ``screen`` where there is one."""
+def _gradient(obj, support, r, screen, stats):
+    """A^T r as (cols, g): g holds the entries cols (ascending) of A^T r,
+    or all of them where cols is None; ``support`` is that of x.  Screened
+    through ``screen`` where there is one."""
     if screen is None:
         stats.At_dense += 1
-        return obj.A.T @ r
-    return screen.gradient(x, r, stats)
+        return None, obj.A.T @ r
+    return screen.gradient(support, r, stats)
+
+
+def _scatter(cols, values, p):
+    out = np.zeros(p)
+    out[cols] = values
+    return out
 
 
 def bb_step(s, A):
@@ -358,17 +410,79 @@ def bb_step(s, A):
     return float(As @ As) / ss
 
 
-def _prox_step(obj, x, grad, alpha):
-    """prox of the gradient step from x, the one checked call per candidate.
+class _Step:
+    """The candidate step of one solve: x+ = prox(x - g / alpha), with its
+    support, its residual A x+ - y and F(x+), each computed once.
 
-    The objective and the sizes are checked on entry to the solver, so a
-    ValueError from prox here means its argument or the scaled penalty
-    overflowed, for instance through an infinite gradient.
+    A gradient screened to the coordinates E makes a step on E alone.  The
+    full argument is 0 off E, and so is its prox: soft thresholding gives
+    0, the OSCAR prox sorts only magnitudes above l1 >= 0 (its weights
+    come from the OWL dimension p), and under a cap the screen leaves the
+    top k in E, whose ascending order keeps that of the stable sort.  The
+    screen returns at least k coordinates; with fewer the step would run
+    on all p.
     """
-    try:
-        return prox(obj.reg, x - grad / alpha, alpha)
-    except ValueError as exc:
-        raise SolverDivergenceError(f"prox step overflowed: {exc}") from None
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.terms = l1, slope, _, k = _terms(obj.reg)
+        self.weights = None
+        if slope is not None:
+            w = _owl(l1, slope, obj.A.shape[1] if k is None else k)
+            # a negative stride, like the reversed sort in _penalty, keeps
+            # numpy's dot off BLAS: the same sequential sum
+            self.weights = w[::-1].copy()[::-1]
+        self.sparse = obj.A.size >= _SUPPORT_PRODUCTS_MIN_SIZE
+
+    def support(self, x):
+        """The nonzeros of x, ascending; None below the size rule."""
+        return _support(x) if self.sparse else None
+
+    def __call__(self, x, cols, g, alpha, stats):
+        """(x+, its support, A x+ - y, F(x+)) for the gradient g, given on
+        the coordinates cols (all where cols is None)."""
+        p = x.size
+        try:
+            l1, slope, ridge, k = _scale(self.obj.reg, alpha)
+            if cols is not None and k is not None and cols.size < k:
+                cols, g = None, _scatter(cols, g, p)
+            v = _as_vector(x - g / alpha if cols is None
+                           else x[cols] - g / alpha)
+            if k is not None:
+                _check_k(k, p)
+        except ValueError as exc:
+            raise SolverDivergenceError(
+                f"prox step overflowed: {exc}") from None
+        out, mags = _prox_terms(v, l1, slope, ridge, k, p)
+        stats.candidates += 1
+        stats.prox_entries += v.size
+        if cols is None:
+            x_new, support = out, self.support(out)
+        else:
+            x_new, support = _scatter(cols, out, p), cols[_support(out)]
+        r = _times_A(self.obj, x_new, stats, support) - self.obj.y
+        return x_new, support, r, \
+            0.5 * float(r @ r) + self._penalty(x_new, mags)
+
+    def _penalty(self, x, mags):
+        """``_penalty(terms, x)``, bit for bit, for the prox output x with
+        the magnitudes mags; non-finite if an entry of x is.
+
+        With a slope, |x| sorted in decreasing order is mags followed by
+        zeros, which add nothing to the sequential sum.  The pairwise sum
+        of l1 |x| runs over all p entries in order, so a screened or capped
+        step sums |x| itself.
+        """
+        l1, slope, ridge, _ = self.terms
+        if slope is not None:
+            value = self.weights[:mags.size] @ mags
+        elif mags.size == x.size:
+            value = l1 * mags.sum()
+        else:
+            value = l1 * np.abs(x).sum()
+        if ridge is not None:
+            value = value + 0.5 * ridge * (x @ x)
+        return float(value)
 
 
 def _initial_point(obj, x0):
@@ -403,16 +517,17 @@ def sparsa_solve(obj, x0=None, config=None):
     if not np.isfinite(f_x):
         raise SolverDivergenceError(f"objective at start is {f_x}")
 
+    step = _Step(obj)
+    support = step.support(x)
     screen = _GradientScreen.of(obj)
-    grad = _gradient(obj, x, r, screen, stats)
+    cols, grad = _gradient(obj, support, r, screen, stats)
     alpha = cfg.alpha_min
-    x_new = _prox_step(obj, x, grad, alpha)
-    stats.candidates += 1
-    r_new, f_new = _residual_and_objective(obj, x_new, stats)
-    if not (np.isfinite(x_new).all() and np.isfinite(f_new)):
+    # a non-finite iterate makes its F non-finite (_Step._penalty)
+    x_new, support_new, r_new, f_new = step(x, cols, grad, alpha, stats)
+    if not np.isfinite(f_new):
         raise SolverDivergenceError("first step produced non-finite values")
     x_prev, f_prev = x, f_x
-    x, f_x, r = x_new, f_new, r_new
+    x, support, f_x, r = x_new, support_new, f_new, r_new
     trace = [f_x]
     termination = "max-iterations"
 
@@ -427,15 +542,14 @@ def sparsa_solve(obj, x0=None, config=None):
         # differently and moves alpha
         As = _times_A(obj, s, stats)
         alpha = min(max(float(As @ As) / ss, cfg.alpha_min), cfg.alpha_max)
-        grad = _gradient(obj, x, r, screen, stats)
+        cols, grad = _gradient(obj, support, r, screen, stats)
 
         accepted = False
         best_x, best_f = None, np.inf
         for _ in range(cfg.max_inner):
-            x_cand = _prox_step(obj, x, grad, alpha)
-            stats.candidates += 1
-            r_cand, f_cand = _residual_and_objective(obj, x_cand, stats)
-            if not (np.isfinite(x_cand).all() and np.isfinite(f_cand)):
+            x_cand, support_cand, r_cand, f_cand = step(x, cols, grad, alpha,
+                                                        stats)
+            if not np.isfinite(f_cand):
                 raise SolverDivergenceError(
                     "iterate became non-finite during backtracking"
                 )
@@ -463,7 +577,7 @@ def sparsa_solve(obj, x0=None, config=None):
             break
 
         x_prev, f_prev = x, f_x
-        x, f_x, r = x_cand, f_cand, r_cand
+        x, support, f_x, r = x_cand, support_cand, f_cand, r_cand
         trace.append(f_x)
 
         denom = max(abs(f_prev), 1.0)

@@ -25,6 +25,7 @@ from sparcreg.data import (
 )
 from sparcreg.experiment import grid_search
 from sparcreg.regularizers import Lasso
+from sparcreg.solver import Objective, sparsa_solve
 from oracles import generate_hstack, load_csv_percell, write_csv_rowwise
 
 
@@ -177,6 +178,23 @@ class TestLargeDesignMemory:
         ds = generate_synthetic(self.SPEC)
         _, peak = _traced_peak(lambda: grid_search(ds, [Lasso(4.0)]))
         assert peak <= 1.25 * ds.part("train")[0].nbytes
+
+    def test_grid_search_over_a_resplit_makes_one_copy(self):
+        # scattered train rows go straight into the column-major copy; a
+        # row-major copy on the way peaked at 2.01 times the train bytes,
+        # 1.34 times the train and validation bytes.  The scattered
+        # validation rows are copied (0.5 times the train bytes here)
+        ds = split_dataset(generate_synthetic(self.SPEC), (0.5, 0.25, 0.25),
+                           seed=3)
+        row_bytes = ds.p * 8
+        train_bytes = np.count_nonzero(ds.mask("train")) * row_bytes
+        val_bytes = np.count_nonzero(ds.mask("validation")) * row_bytes
+        (_, e), peak = _traced_peak(lambda: grid_search(ds, [Lasso(4.0)]))
+        assert peak <= 1.25 * (train_bytes + val_bytes)
+        # the bytes of a solve on a row-major copy of the train rows
+        A, y = ds.part("train")
+        x = sparsa_solve(Objective(A, y, Lasso(4.0))).x
+        assert e.tobytes() == x.tobytes()
 
 
 class TestDatasetContainer:

@@ -1,10 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparcreg.prox import (
     _owl,
     _pava,
+    _prox_terms,
     isotonic_decreasing,
     owl_weights,
     project_k_sparse,
@@ -344,6 +346,72 @@ class TestProxSparc:
             prox_sparc([1.0, 2.0], 1.0, 0)
         with pytest.raises(ValueError):
             prox_sparc([1.0, 2.0], 1.0, 5)
+
+
+@st.composite
+def _part_of_a_vector(draw):
+    """(v, E, terms): a vector that is zero off the ascending coordinates
+    E, and family terms whose cap, if any, fits in E."""
+    p = draw(st.integers(1, 30))
+    cols = np.array(sorted(draw(st.sets(st.integers(0, p - 1), min_size=1))))
+    # few values, so ties and exact zeros are common
+    vals = draw(st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.5, 2.0,
+                                          -3.0, 0.25]),
+                         min_size=cols.size, max_size=cols.size))
+    v = np.zeros(p)
+    v[cols] = vals
+    l1 = draw(st.sampled_from([0.0, 0.25, 0.5, 1.2]))
+    slope = draw(st.sampled_from([None, 0.0, 0.01, 0.3]))
+    ridge = draw(st.sampled_from([None, 0.0, 0.7]))
+    k = draw(st.one_of(st.none(), st.integers(1, cols.size)))
+    return v, cols, (l1, slope, ridge, k)
+
+
+class TestProxOnAPart:
+    """The prox of a vector that is zero off E, run on E alone with the OWL
+    dimension p and scattered back, is the prox of the whole vector."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_part_of_a_vector())
+    def test_scattered_part_equals_full_prox(self, case):
+        v, cols, terms = case
+        out_part, mags_part = _prox_terms(v[cols], *terms, v.size)
+        out, mags = _prox_terms(v, *terms)
+        scattered = np.zeros(v.size)
+        scattered[cols] = out_part
+        assert scattered.tobytes() == out.tobytes()
+        if terms[1] is not None:
+            assert mags_part.tobytes() == mags.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_part_of_a_vector())
+    def test_magnitudes_are_those_of_the_output(self, case):
+        v, _, (l1, slope, ridge, k) = case
+        out, mags = _prox_terms(v, l1, slope, ridge, k)
+        if slope is not None:
+            # the sorted ranks, non-increasing; every other entry is 0
+            ranked = np.sort(np.abs(out))[::-1]
+            assert mags.tobytes() == ranked[:mags.size].tobytes()
+            assert not ranked[mags.size:].any()
+        elif k is None:
+            assert mags.tobytes() == np.abs(out).tobytes()
+        else:
+            assert np.sort(mags).tobytes() \
+                == np.sort(np.abs(out))[v.size - k:].tobytes()
+
+    def test_all_zero_and_fewer_nonzeros_than_k(self):
+        v = np.zeros(12)
+        cols = np.array([2, 5, 7, 11])
+        for terms in [(0.0, 0.4, None, 3), (0.5, None, 0.2, None),
+                      (0.0, 0.1, None, None)]:
+            out, mags = _prox_terms(v[cols], *terms, v.size)
+            assert not out.any() and not mags.any()
+        v[[5, 11]] = [1.5, -2.0]  # 2 nonzeros under a cap of 3
+        out_part, _ = _prox_terms(v[cols], 0.0, 0.4, None, 3, v.size)
+        scattered = np.zeros(v.size)
+        scattered[cols] = out_part
+        assert scattered.tobytes() \
+            == _prox_terms(v, 0.0, 0.4, None, 3)[0].tobytes()
 
 
 class TestSortedMagnitudeView:

@@ -6,11 +6,19 @@ import pytest
 
 from sparcreg.prox import soft_threshold
 from sparcreg import solver
-from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox
+from sparcreg.regularizers import (
+    ElasticNet,
+    Lasso,
+    Oscar,
+    Sparc,
+    _penalty,
+    prox,
+)
 from sparcreg.solver import (
     Objective,
     SolverConfig,
     SolverDivergenceError,
+    SolverStats,
     _SUPPORT_PRODUCTS_MAX_FRACTION,
     _SUPPORT_PRODUCTS_MIN_SIZE,
     _residual_and_objective,
@@ -376,37 +384,52 @@ class TestSupportProducts:
         dense product; returns the result and the number of screened ones."""
         A, y = self._problem(self.ABOVE)
         obj = Objective(A, y, reg)
+        p = A.shape[1]
         l1, _, _, k = reg.terms()
-        gradient = solver._gradient
+        gradient, step = solver._gradient, solver._Step.__call__
         screened = []
 
-        def checked(obj, x, r, screen, stats):
+        def checked_gradient(obj, support, r, screen, stats):
             before = stats.At_screened
-            g = gradient(obj, x, r, screen, stats)
+            cols, g = gradient(obj, support, r, screen, stats)
             dense = obj.A.T @ r
             if stats.At_screened == before:
+                assert cols is None
                 assert g.tobytes() == dense.tobytes()
-                return g
-            screened.append(np.count_nonzero(g))
-            skipped = (g == 0) & (x == 0)
-            computed = ~skipped
+                return cols, g
+            screened.append(cols.size)
+            assert np.all(np.diff(cols) > 0) and np.isin(support, cols).all()
+            skipped = np.ones(p, dtype=bool)
+            skipped[cols] = False
             bound = 1e-12 * obj.col_norms * np.linalg.norm(r)
-            assert np.all(np.abs(g - dense)[computed] <= bound[computed])
+            assert np.all(np.abs(g - dense[cols]) <= bound[cols])
             if k is None:
                 assert np.all(np.abs(dense[skipped]) <= l1)
             elif skipped.any():
-                off = np.sort(np.abs(dense[computed & (x == 0)]))[::-1]
+                computed_off_support = ~skipped
+                computed_off_support[support] = False
+                off = np.sort(np.abs(dense[computed_off_support]))[::-1]
                 assert off.size >= k
                 assert off[k - 1] > np.abs(dense[skipped]).max()
-            # the prox of the step is that of the full vector with the
-            # computed entries, at any alpha
-            full = np.where(skipped, dense, g)
-            for alpha in (1.0, 3.7, 50.0, 1e4):
-                assert np.array_equal(prox(reg, x - g / alpha, alpha),
-                                      prox(reg, x - full / alpha, alpha))
-            return g
+            return cols, g
 
-        monkeypatch.setattr(solver, "_gradient", checked)
+        def checked_step(self, x, cols, g, alpha, stats):
+            if cols is not None:
+                # the prox of the step is that of the full vector with the
+                # computed entries, at any alpha
+                g_full = np.zeros(p)
+                g_full[cols] = g
+                skipped = np.ones(p, dtype=bool)
+                skipped[cols] = False
+                full = np.where(skipped,
+                                obj.A.T @ (_times_A(obj, x) - y), g_full)
+                for a in (1.0, 3.7, 50.0, 1e4):
+                    assert np.array_equal(prox(reg, x - g_full / a, a),
+                                          prox(reg, x - full / a, a))
+            return step(self, x, cols, g, alpha, stats)
+
+        monkeypatch.setattr(solver, "_gradient", checked_gradient)
+        monkeypatch.setattr(solver._Step, "__call__", checked_step)
         res = sparsa_solve(obj, config=config)
         assert res.trace[-1] == objective_value(obj, res.x)
         assert np.all(np.diff(res.trace) <= 0)
@@ -448,8 +471,79 @@ class TestSupportProducts:
         # which comes with every gradient but the first
         assert st.A_dense + st.A_gathered == st.candidates + st.At_dense \
             + st.At_screened
+        p = shape[1]
         if shape == self.BELOW:
             assert st.A_gathered == st.At_screened == st.At_columns == 0
+            assert st.prox_entries == st.candidates * p
+        elif st.At_screened:
+            # every screened gradient makes at least one step on at most
+            # p / 4 coordinates
+            assert st.prox_entries < st.candidates * p
+        else:
+            assert st.prox_entries == st.candidates * p
+
+    def test_screened_step_smaller_than_k_runs_on_all_p(self):
+        A, y = self._problem(self.ABOVE)
+        reg = Sparc(0.01, 6)
+        obj = Objective(A, y, reg)
+        p = A.shape[1]
+        x = np.zeros(p)
+        x[[3, 900]] = [0.5, -1.0]
+        cols = np.array([3, 40, 900])
+        g = np.array([-2.0, 1.5, 0.25])
+        g_full = np.zeros(p)
+        g_full[cols] = g
+        stats = SolverStats()
+        x_new, support, r, f = solver._Step(obj)(x, cols, g, 2.0, stats)
+        assert x_new.tobytes() == prox(reg, x - g_full / 2.0, 2.0).tobytes()
+        assert support.tolist() == np.flatnonzero(x_new).tolist()
+        assert r.tobytes() == (_times_A(obj, x_new) - y).tobytes()
+        assert f == 0.5 * float(r @ r) + _penalty(reg.terms(), x_new)
+        assert stats.prox_entries == p and stats.candidates == 1
+
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW],
+                             ids=["above", "below"])
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, 1e200])
+    def test_non_finite_entries_rejected_at_every_size(self, shape, entry):
+        # above the rule only a non-finite column norm makes A be scanned;
+        # a finite entry whose square overflows is accepted
+        A, y = self._problem(shape)
+        A[7, 300] = entry
+        if not np.isfinite(entry):
+            with pytest.raises(ValueError, match="must be finite"):
+                Objective(A, y, Lasso(0.1))
+            return
+        obj = Objective(A, y, Lasso(0.1))
+        if shape == self.ABOVE:
+            assert np.isinf(obj.col_norms[300])
+            assert np.isfinite(np.delete(obj.col_norms, 300)).all()
+        A, y = self._problem(shape)
+        y[3] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            Objective(A, y, Lasso(0.1))
+
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW],
+                             ids=["above", "below"])
+    @pytest.mark.parametrize("rows", ["scattered", "block", "one"])
+    def test_objective_of_rows(self, shape, rows):
+        n, p = shape
+        rng = np.random.default_rng(4)
+        A = rng.normal(0, 1, size=(2 * n, p))
+        y = rng.normal(0, 1, size=2 * n)
+        mask = np.zeros(2 * n, dtype=bool)
+        if rows == "scattered":
+            mask[rng.choice(2 * n, n, replace=False)] = True
+        elif rows == "block":
+            mask[n // 2:n // 2 + n] = True
+        else:
+            mask[5] = True
+        obj = Objective._of_rows(A, y, mask, Lasso(0.1))
+        ref = Objective(A[mask], y[mask], Lasso(0.1))
+        assert obj.A.tobytes(order="A") == ref.A.tobytes(order="A")
+        assert obj.A.flags.f_contiguous == ref.A.flags.f_contiguous
+        assert obj.y.tobytes() == ref.y.tobytes()
+        if ref.col_norms is not None:
+            assert obj.col_norms.tobytes() == ref.col_norms.tobytes()
 
     def test_column_major_only_above_the_rule(self):
         A_small, y_small = self._problem(self.BELOW)
@@ -466,3 +560,56 @@ class TestSupportProducts:
         npt.assert_allclose(large.col_norms, np.linalg.norm(A_large, axis=0),
                             rtol=1e-14)
         assert large._with_reg(Sparc(0.1, 3)).col_norms is large.col_norms
+
+
+class TestFusedCandidate:
+    """Every candidate is the checked prox of the full gradient step, bit
+    for bit; its F is its residual's plus ``_penalty``; every support
+    handed to a product with A is the scan of its vector."""
+
+    SHAPES = {"p40": (20, 40), "below": TestSupportProducts.BELOW,
+              "above": TestSupportProducts.ABOVE}
+
+    @pytest.mark.parametrize("shape", ["p40", "below", "above"])
+    @pytest.mark.parametrize("start", ["zero", "dense"])
+    @pytest.mark.parametrize("alpha_min", [1.0, 30.0])
+    @TestSupportProducts.PENALTIES
+    def test_every_candidate_is_exact(self, monkeypatch, shape, start,
+                                      alpha_min, reg):
+        n, p = self.SHAPES[shape]
+        A, y = TestSupportProducts()._problem((n, p))
+        obj = Objective(A, y, reg)
+        x0 = None if start == "zero" else \
+            np.random.default_rng(3).normal(0, 1, size=p)
+        step, times = solver._Step.__call__, solver._times_A
+        seen = {"candidates": 0, "screened": 0, "supports": 0}
+
+        def checked_times(obj, x, stats=None, support=None):
+            if support is not None:
+                seen["supports"] += 1
+                assert support.tobytes() == np.flatnonzero(x).tobytes()
+            return times(obj, x, stats, support)
+
+        def checked_step(self, x, cols, g, alpha, stats):
+            x_new, support, r, f = step(self, x, cols, g, alpha, stats)
+            g_full = g
+            if cols is not None:
+                seen["screened"] += 1
+                g_full = np.zeros(p)
+                g_full[cols] = g
+            expected = prox(reg, x - g_full / alpha, alpha)
+            assert x_new.tobytes() == expected.tobytes()
+            assert r.tobytes() == (times(obj, x_new) - y).tobytes()
+            f_checked = 0.5 * float(r @ r) + _penalty(reg.terms(), x_new)
+            assert np.float64(f).tobytes() == np.float64(f_checked).tobytes()
+            seen["candidates"] += 1
+            return x_new, support, r, f
+
+        monkeypatch.setattr(solver, "_times_A", checked_times)
+        monkeypatch.setattr(solver._Step, "__call__", checked_step)
+        res = sparsa_solve(obj, x0, SolverConfig(alpha_min=alpha_min))
+        assert seen["candidates"] == res.stats.candidates > 1
+        assert (seen["supports"] > 0) == (shape == "above")
+        assert (seen["screened"] > 0) == (res.stats.At_screened > 0)
+        if shape == "above" and isinstance(reg, (Lasso, Sparc)):
+            assert seen["screened"] > 0

@@ -65,8 +65,13 @@ def _check_k(k, p):
     return k
 
 
+def _shrunk(v, t):
+    # the magnitudes of _soft(v, t)
+    return np.maximum(np.abs(v) - t, 0.0)
+
+
 def _soft(v, t):
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    return np.sign(v) * _shrunk(v, t)
 
 
 def soft_threshold(v, t):
@@ -269,7 +274,7 @@ def _prox_terms(v, l1, slope, ridge, k, d=None):
         out[idx], mags = _prox_terms(v[idx], l1, slope, ridge, None)
         return out, mags
     if slope is None:
-        mags = np.maximum(np.abs(v) - l1, 0.0)
+        mags = _shrunk(v, l1)
     else:
         order, mags = _prox_sorted(v, l1, slope, v.size if d is None else d)
     if ridge is not None:

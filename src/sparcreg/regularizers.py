@@ -190,7 +190,7 @@ def penalty_value(reg, x):
     return _checked_penalty(_terms(reg), _as_vector(x, "x"))
 
 
-def prox(reg, v, alpha=1.0):
+def prox(reg, v, alpha=1.0, *, d=None, magnitudes=False):
     """Proximity operator of ``penalty(reg) / alpha`` at v.
 
     argmin_x  penalty(reg, x)/alpha + (1/2) ||x - v||^2
@@ -199,12 +199,23 @@ def prox(reg, v, alpha=1.0):
     the ridge shrink 1/(1 + ridge); a cap applies this to the k largest
     magnitudes and zeroes the rest.  Checks alpha, the scaled terms, v and
     k <= v.size once, then runs the unchecked kernel ``_prox_terms``.
+
+    ``d`` (default v.size) is the length of the vector that v is the
+    nonzero part of: an uncapped slope then takes the first of the d
+    weights, and the result is that part of the prox of the d-vector.
+    With ``magnitudes`` it returns (x, mags), mags being what the penalty
+    of x is priced on: with a slope, the magnitudes of x's nonzero ranks,
+    non-increasing; without, |x| in the order of v (of its top k under a
+    cap).
     """
     l1, slope, ridge, k = _scale(reg, alpha)
     v = _as_vector(v)
     if k is not None:
         _check_k(k, v.size)
-    return _prox_terms(v, l1, slope, ridge, k)[0]
+    if d is not None and d < v.size:
+        raise ValueError(f"d must be at least v.size = {v.size}, got {d}")
+    out = _prox_terms(v, l1, slope, ridge, k, d)
+    return out if magnitudes else out[0]
 
 
 def prox_objective(reg, v, z, alpha=1.0):

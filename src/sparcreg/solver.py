@@ -50,12 +50,12 @@ last bit from the dense product: OpenBLAS's ``dgemv_t`` takes the columns
 451 columns on average.
 
 The objective and x0 are checked on entry.  Each candidate is one step
-(``_Step``) that computes every quantity once: the checks of a ``prox``
-call (the scaled terms, a finite argument, k <= p), the prox kernel,
-which also returns the output magnitudes it holds in rank order, the
-penalty priced on those with weights built once per solve, and the
-residual over the support of the prox output.  Every output is that of
-the checked calls, bit for bit.
+(``_Step``) that computes every quantity once: one checked ``prox`` call,
+which also returns the output magnitudes the prox holds in rank order,
+the penalty priced on those with weights built once per solve, and the
+residual over the support of the prox output.  Every output is, bit for
+bit, that of ``prox`` on the whole p-vector step (skipped gradient
+entries 0) priced by ``penalty_value``.
 """
 
 from __future__ import annotations
@@ -67,10 +67,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _select_rows
-from .prox import _as_vector, _check_k, _owl, _prox_terms, project_k_sparse
-from .regularizers import _penalty, _scale, _terms, penalty_value
-# unused here; kept importable because bench/tracer.py patches this binding
-from .regularizers import prox  # noqa: F401
+from .prox import _as_vector, _owl, project_k_sparse
+from .regularizers import _penalty, _terms, penalty_value, prox
 
 __all__ = [
     "Objective",
@@ -161,7 +159,9 @@ class Objective:
         """``Objective(A[rows], y[rows], reg)`` for a boolean row mask,
         with at most one copy of the rows: from 2**16 entries on, rows that
         are not one contiguous block go straight into the column-major
-        copy, a block of columns at a time."""
+        copy, a block of columns at a time.  A block of rows is a view
+        copied once by ``asfortranarray``: 2.6 ms for 200 of 400 x 10 000
+        rows, against 5.1 ms through the gather (2-core Xeon)."""
         idx = np.flatnonzero(rows)
         n, p = idx.size, A.shape[1]
         if n * p < _SUPPORT_PRODUCTS_MIN_SIZE or idx[-1] - idx[0] + 1 == n:
@@ -391,12 +391,6 @@ def _gradient(obj, support, r, screen, stats):
     return screen.gradient(support, r, stats)
 
 
-def _scatter(cols, values, p):
-    out = np.zeros(p)
-    out[cols] = values
-    return out
-
-
 def bb_step(s, A):
     """Spectral step estimate ||A s||^2 / ||s||^2 for a nonzero displacement s.
 
@@ -418,9 +412,8 @@ class _Step:
     full argument is 0 off E, and so is its prox: soft thresholding gives
     0, the OSCAR prox sorts only magnitudes above l1 >= 0 (its weights
     come from the OWL dimension p), and under a cap the screen leaves the
-    top k in E, whose ascending order keeps that of the stable sort.  The
-    screen returns at least k coordinates; with fewer the step would run
-    on all p.
+    top k in E, whose ascending order keeps that of the stable sort (the
+    screen returns at least k coordinates).
     """
 
     def __init__(self, obj):
@@ -442,24 +435,21 @@ class _Step:
         """(x+, its support, A x+ - y, F(x+)) for the gradient g, given on
         the coordinates cols (all where cols is None)."""
         p = x.size
+        v = x - g / alpha if cols is None else x[cols] - g / alpha
         try:
-            l1, slope, ridge, k = _scale(self.obj.reg, alpha)
-            if cols is not None and k is not None and cols.size < k:
-                cols, g = None, _scatter(cols, g, p)
-            v = _as_vector(x - g / alpha if cols is None
-                           else x[cols] - g / alpha)
-            if k is not None:
-                _check_k(k, p)
+            # the one checked prox call of the candidate; a ValueError here
+            # means its argument or the scaled penalty overflowed
+            out, mags = prox(self.obj.reg, v, alpha, d=p, magnitudes=True)
         except ValueError as exc:
             raise SolverDivergenceError(
                 f"prox step overflowed: {exc}") from None
-        out, mags = _prox_terms(v, l1, slope, ridge, k, p)
         stats.candidates += 1
         stats.prox_entries += v.size
         if cols is None:
             x_new, support = out, self.support(out)
         else:
-            x_new, support = _scatter(cols, out, p), cols[_support(out)]
+            x_new, support = np.zeros(p), cols[_support(out)]
+            x_new[cols] = out
         r = _times_A(self.obj, x_new, stats, support) - self.obj.y
         return x_new, support, r, \
             0.5 * float(r @ r) + self._penalty(x_new, mags)

@@ -17,7 +17,7 @@ from sparcreg.prox import (
     top_k_support,
 )
 
-from sparcreg.regularizers import Sparc, prox
+from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox
 
 from oracles import (
     SortedMagnitudeView,
@@ -413,6 +413,29 @@ class TestProxOnAPart:
         assert scattered.tobytes() \
             == _prox_terms(v, 0.0, 0.4, None, 3)[0].tobytes()
 
+
+    @pytest.mark.parametrize("reg", [Lasso(0.5), ElasticNet(0.5, 0.7),
+                                     Oscar(0.25, 0.3), Sparc(0.4, 3)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_checked_prox_of_a_part(self, reg):
+        # regularizers.prox with d and magnitudes: the kernel, checked
+        v = np.zeros(12)
+        cols = np.array([2, 5, 7, 11])
+        v[cols] = [1.5, -2.0, 0.75, -0.5]
+        out, mags = prox(reg, v[cols], 2.0, d=v.size, magnitudes=True)
+        l1, slope, ridge, k = reg.terms()
+        scaled = (l1 / 2.0, None if slope is None else slope / 2.0,
+                  None if ridge is None else ridge / 2.0, k)
+        ref_out, ref_mags = _prox_terms(v[cols], *scaled, v.size)
+        assert out.tobytes() == ref_out.tobytes()
+        assert mags.tobytes() == ref_mags.tobytes()
+        scattered = np.zeros(v.size)
+        scattered[cols] = out
+        assert scattered.tobytes() == prox(reg, v, 2.0).tobytes()
+        with pytest.raises(ValueError, match="d must be at least"):
+            prox(reg, v[cols], 2.0, d=3)
+        with pytest.raises(ValueError, match="non-finite"):
+            prox(reg, np.array([1.0, np.inf, 0.0, 2.0]), 2.0, d=12)
 
 class TestSortedMagnitudeView:
     """The oracle view that ``_prox_oscar_full_pava`` is built on."""

@@ -18,7 +18,6 @@ from sparcreg.solver import (
     Objective,
     SolverConfig,
     SolverDivergenceError,
-    SolverStats,
     _SUPPORT_PRODUCTS_MAX_FRACTION,
     _SUPPORT_PRODUCTS_MIN_SIZE,
     _residual_and_objective,
@@ -405,7 +404,10 @@ class TestSupportProducts:
             assert np.all(np.abs(g - dense[cols]) <= bound[cols])
             if k is None:
                 assert np.all(np.abs(dense[skipped]) <= l1)
-            elif skipped.any():
+                return cols, g
+            # the step on E runs the capped prox, which needs k <= |E|
+            assert cols.size >= k
+            if skipped.any():
                 computed_off_support = ~skipped
                 computed_off_support[support] = False
                 off = np.sort(np.abs(dense[computed_off_support]))[::-1]
@@ -481,25 +483,6 @@ class TestSupportProducts:
             assert st.prox_entries < st.candidates * p
         else:
             assert st.prox_entries == st.candidates * p
-
-    def test_screened_step_smaller_than_k_runs_on_all_p(self):
-        A, y = self._problem(self.ABOVE)
-        reg = Sparc(0.01, 6)
-        obj = Objective(A, y, reg)
-        p = A.shape[1]
-        x = np.zeros(p)
-        x[[3, 900]] = [0.5, -1.0]
-        cols = np.array([3, 40, 900])
-        g = np.array([-2.0, 1.5, 0.25])
-        g_full = np.zeros(p)
-        g_full[cols] = g
-        stats = SolverStats()
-        x_new, support, r, f = solver._Step(obj)(x, cols, g, 2.0, stats)
-        assert x_new.tobytes() == prox(reg, x - g_full / 2.0, 2.0).tobytes()
-        assert support.tolist() == np.flatnonzero(x_new).tolist()
-        assert r.tobytes() == (_times_A(obj, x_new) - y).tobytes()
-        assert f == 0.5 * float(r @ r) + _penalty(reg.terms(), x_new)
-        assert stats.prox_entries == p and stats.candidates == 1
 
     @pytest.mark.parametrize("shape", [ABOVE, BELOW],
                              ids=["above", "below"])

@@ -29,6 +29,7 @@ from .data import (
     DataError,
     SPLIT_NAMES,
     SyntheticSpec,
+    _check_fractions,
     _column_norms,
     _load_table,
     load_csv,
@@ -47,7 +48,7 @@ from .experiment import (
     grid_search,
     run_repetitions,
 )
-from .metrics import cla, compute_report
+from .metrics import compute_report
 from .regularizers import _BY_METHOD, prox, prox_objective
 from .solver import SolverConfig, SolverDivergenceError
 
@@ -60,19 +61,6 @@ class CliError(Exception):
 
 def _fmt(v):
     return f"{v:g}"
-
-
-def _parse_vector(text):
-    toks = text.replace(",", " ").split()
-    if not toks:
-        raise CliError("empty vector")
-    out = []
-    for t in toks:
-        try:
-            out.append(float(t))
-        except ValueError:
-            raise CliError(f"could not parse {t!r} as a number") from None
-    return np.asarray(out)
 
 
 def _parse_list(text, flag, cast=float):
@@ -150,10 +138,12 @@ def _prox_regularizer(args):
 
 def cmd_prox(args):
     if args.vec is not None:
-        v = _parse_vector(args.vec)
+        v = _parse_list(args.vec, "--vec")
     else:
         with open(args.vec_file, encoding="utf-8") as fh:
-            v = _parse_vector(fh.read())
+            v = _parse_list(fh.read(), "--vec-file")
+    if not v:
+        raise CliError("empty vector")
     reg = _prox_regularizer(args)
     try:
         x = prox(reg, v)
@@ -239,14 +229,10 @@ def cmd_synth(args):
 # ----------------------------------------------------------------- fit
 
 def _parse_fractions(text):
-    parts = _parse_list(text, "--split")
-    if len(parts) != 3:
-        raise CliError(f"--split needs three fractions, got {len(parts)}")
-    if min(parts) <= 0 or abs(sum(parts) - 1.0) > 1e-9:
-        raise CliError(
-            f"--split fractions must be positive and sum to 1, got {parts}"
-        )
-    return tuple(parts)
+    try:
+        return tuple(_check_fractions(_parse_list(text, "--split")))
+    except ValueError as exc:
+        raise CliError(f"--split: {exc}") from None
 
 
 def _fit_grid(args, p, given):
@@ -303,7 +289,7 @@ def cmd_fit(args):
         "test_mae": float(np.abs(r_te).sum()) / scale,
     }
     if ds.task == "classification":
-        prediction["test_cla"] = cla(A_te, y_te, e)
+        prediction["test_cla"] = report.CLA
 
     payload = {
         "selected": _reg_to_dict(reg),

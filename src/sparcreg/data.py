@@ -566,6 +566,21 @@ def write_csv(ds, path, label_column="label", split_column="split"):
             fh.write(",".join(map(repr, cells)) + end)
 
 
+def _check_fractions(fractions):
+    """The (train, validation, test) fractions as a list of three floats;
+    ValueError unless they are positive and sum to 1 (within 1e-9)."""
+    f = [float(v) for v in fractions]
+    if len(f) != 3:
+        raise ValueError(
+            f"fractions must be (train, validation, test), got {len(f)}"
+        )
+    if min(f) <= 0:
+        raise ValueError(f"fractions must be positive, got {f}")
+    if abs(sum(f) - 1.0) > 1e-9:
+        raise ValueError(f"fractions must sum to 1, got {sum(f)}")
+    return f
+
+
 def split_dataset(ds, fractions, seed):
     """Assign rows to train/validation/test by a seeded permutation.
 
@@ -573,13 +588,7 @@ def split_dataset(ds, fractions, seed):
     Sizes: train and validation get the floor of fraction * n, test gets
     the remainder.  Rows stay in place; only the labels are assigned.
     """
-    f = [float(v) for v in fractions]
-    if len(f) != 3:
-        raise ValueError("fractions must be (train, validation, test)")
-    if min(f) <= 0:
-        raise ValueError(f"fractions must be positive, got {f}")
-    if abs(sum(f) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(f)}")
+    f = _check_fractions(fractions)
     n = ds.n
     # nudge before flooring so exact products stored as x.999... round up
     n_train = int(f[0] * n + 1e-9)

@@ -8,7 +8,7 @@ sort / shrink / pool proximity operators assembled from them.
 
 Every function is pure and operates on 1-D float arrays.  The public
 functions validate their arguments and then call private kernels
-(``_soft``, ``_owl``, ``_prox_sorted``, ``_top_k``, ``_prox_terms``) that
+(``_owl``, ``_pava``, ``_prox_sorted``, ``_top_k``, ``_prox_terms``) that
 assume a finite 1-D float64 vector and checked parameters; callers that
 have already validated, such as ``regularizers.prox``, call the kernels
 directly.
@@ -65,21 +65,13 @@ def _check_k(k, p):
     return k
 
 
-def _shrunk(v, t):
-    # the magnitudes of _soft(v, t)
-    return np.maximum(np.abs(v) - t, 0.0)
-
-
-def _soft(v, t):
-    return np.sign(v) * _shrunk(v, t)
-
-
 def soft_threshold(v, t):
     """Componentwise soft threshold: sign(v_i) * max(|v_i| - t, 0).
 
     The proximity operator of ``t * ||.||_1``.
     """
-    return _soft(_as_vector(v), _check_nonneg(t, "t"))
+    return _prox_terms(_as_vector(v), _check_nonneg(t, "t"), None, None,
+                       None)[0]
 
 
 def prox_elastic_net(v, lam1, lam2):
@@ -87,10 +79,8 @@ def prox_elastic_net(v, lam1, lam2):
 
     Soft thresholding at lam1 followed by a 1/(1+lam2) shrink.
     """
-    v = _as_vector(v)
-    lam1 = _check_nonneg(lam1, "lam1")
-    lam2 = _check_nonneg(lam2, "lam2")
-    return _soft(v, lam1) / (1.0 + lam2)
+    return _prox_terms(_as_vector(v), _check_nonneg(lam1, "lam1"), None,
+                       _check_nonneg(lam2, "lam2"), None)[0]
 
 
 def _owl(lam1, lam2, d, head=None):
@@ -167,21 +157,13 @@ def _pava(u):
     return np.repeat(means, widths)
 
 
-def _is_non_increasing(u):
-    # equals np.all(np.diff(u) <= 0) for finite u, with fewer numpy calls
-    return u.size <= 1 or bool((u[1:] <= u[:-1]).all())
-
-
 def isotonic_decreasing(u):
     """Euclidean projection onto the cone of non-increasing sequences.
 
-    Pool-adjacent-violators; an input that is already non-increasing is
-    returned as a copy.
+    Pool-adjacent-violators, which returns a new array: an input that is
+    already non-increasing comes back as a copy, bit for bit.
     """
-    u = _as_vector(u, "u")
-    if _is_non_increasing(u):
-        return u.copy()
-    return _pava(u)
+    return _pava(_as_vector(u, "u"))
 
 
 def _prox_sorted(v, lam1, lam2, d):
@@ -193,22 +175,15 @@ def _prox_sorted(v, lam1, lam2, d):
     Every weight is at least lam1, so an entry with |v_i| <= lam1 has
     u_i <= 0 and clips to zero, and such entries are the trailing ranks of
     the full stable sort.  Sorting the rest therefore gives exactly the
-    leading ranks of the full order.  PAVA never merges a positive block
-    with the nonpositive ranks behind it, so the result is bit-for-bit that
-    of sorting all d magnitudes.
+    leading ranks of the full order.  PAVA pools the sorted ranks whole: a
+    block whose mean is <= 0 never merges into a positive block, so the
+    trailing ranks change no positive output, and the result is bit-for-bit
+    that of sorting all d magnitudes.
     """
     mags = np.abs(v)
     top = (mags > lam1).nonzero()[0]
     order = top[np.argsort(-mags[top], kind="stable")]
-    u = mags[order] - _owl(lam1, lam2, d, top.size)
-    if not _is_non_increasing(u):
-        # Entries after the last positive one pool only into blocks whose
-        # mean is <= 0, which never merge into a positive block and clip to
-        # zero anyway, so PAVA runs on the prefix up to that entry alone.
-        positive = (u > 0).nonzero()[0]
-        m = positive[-1] + 1 if positive.size else 0
-        u[:m] = _pava(u[:m])
-        u[m:] = 0.0
+    u = _pava(mags[order] - _owl(lam1, lam2, d, top.size))
     return order, np.maximum(u, 0.0, out=u)
 
 
@@ -274,7 +249,7 @@ def _prox_terms(v, l1, slope, ridge, k, d=None):
         out[idx], mags = _prox_terms(v[idx], l1, slope, ridge, None)
         return out, mags
     if slope is None:
-        mags = _shrunk(v, l1)
+        mags = np.maximum(np.abs(v) - l1, 0.0)
     else:
         order, mags = _prox_sorted(v, l1, slope, v.size if d is None else d)
     if ridge is not None:

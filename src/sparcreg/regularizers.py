@@ -157,26 +157,51 @@ def _scale(reg, alpha):
     return scaled
 
 
+def _weights(terms, d):
+    """The OWL weights that ``_price`` dots with the sorted magnitudes of a
+    d-vector: d of them, k under a cap; None without a slope."""
+    l1, slope, _, k = terms
+    if slope is None:
+        return None
+    # read through a negative stride, which keeps numpy's dot off BLAS:
+    # one sequential sum, whose bits do not change when zero magnitudes are
+    # left off its end.  A contiguous operand pair gives other bits
+    return _owl(l1, slope, d if k is None else k)[::-1].copy()[::-1]
+
+
+def _price(terms, weights, x, mags):
+    """The penalty of the family terms at x, priced on the magnitudes mags.
+
+    With a slope, mags are x's sorted magnitudes, non-increasing, of which
+    trailing zeros may be left off, dotted with the leading ``weights``
+    (``_weights``); without, |x| in order, times l1.  The ridge term is
+    priced on x itself.
+    """
+    l1, slope, ridge, _ = terms
+    if slope is None:
+        value = l1 * mags.sum()
+    else:
+        value = weights[:mags.size] @ mags
+    if ridge is not None:
+        value = value + 0.5 * ridge * (x @ x)
+    return float(value)
+
+
 def _penalty(terms, x):
     """The penalty of the family terms at a finite 1-D float64 x; k <= x.size.
 
-    With a slope, the sorted magnitudes dotted with ``owl_weights``.  Under
-    a cap the weights span the k retained ranks, so positions holding
+    Under a cap the weights span the k retained ranks, so positions holding
     zeros still count as pair partners when x has fewer than k nonzeros;
     ``||x||_0`` uses strict equality to zero, since prox outputs contain
     exact zeros.
     """
-    l1, slope, ridge, k = terms
+    slope, k = terms[1], terms[3]
     if slope is None:
-        value = l1 * np.abs(x).sum()
-    elif k is not None and np.count_nonzero(x) > k:
+        return _price(terms, None, x, np.abs(x))
+    if k is not None and np.count_nonzero(x) > k:
         return float("inf")
-    else:
-        d = x.size if k is None else k
-        value = _owl(l1, slope, d) @ np.sort(np.abs(x))[::-1][:d]
-    if ridge is not None:
-        value = value + 0.5 * ridge * (x @ x)
-    return float(value)
+    mags = np.sort(np.abs(x))[::-1][:x.size if k is None else k]
+    return _price(terms, _weights(terms, x.size), x, mags)
 
 
 def _checked_penalty(terms, x):

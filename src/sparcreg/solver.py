@@ -67,8 +67,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _select_rows
-from .prox import _as_vector, _owl, project_k_sparse
-from .regularizers import _penalty, _terms, penalty_value, prox
+from .prox import _as_vector, project_k_sparse
+from .regularizers import (_penalty, _price, _terms, _weights,
+                           penalty_value, prox)
 
 __all__ = [
     "Objective",
@@ -251,7 +252,7 @@ def _times_A(obj, x, stats=None, support=None):
     knows it, holds those columns in ascending order and spares the scan
     of x."""
     A = obj.A
-    if A.size >= _SUPPORT_PRODUCTS_MIN_SIZE:
+    if obj.col_norms is not None:
         if support is None:
             support = _support(x)
         if support.size <= _SUPPORT_PRODUCTS_MAX_FRACTION * x.size:
@@ -418,14 +419,9 @@ class _Step:
 
     def __init__(self, obj):
         self.obj = obj
-        self.terms = l1, slope, _, k = _terms(obj.reg)
-        self.weights = None
-        if slope is not None:
-            w = _owl(l1, slope, obj.A.shape[1] if k is None else k)
-            # a negative stride, like the reversed sort in _penalty, keeps
-            # numpy's dot off BLAS: the same sequential sum
-            self.weights = w[::-1].copy()[::-1]
-        self.sparse = obj.A.size >= _SUPPORT_PRODUCTS_MIN_SIZE
+        self.terms = _terms(obj.reg)
+        self.weights = _weights(self.terms, obj.A.shape[1])
+        self.sparse = obj.col_norms is not None
 
     def support(self, x):
         """The nonzeros of x, ascending; None below the size rule."""
@@ -451,28 +447,13 @@ class _Step:
             x_new, support = np.zeros(p), cols[_support(out)]
             x_new[cols] = out
         r = _times_A(self.obj, x_new, stats, support) - self.obj.y
+        if self.terms[1] is None and mags.size != p:
+            # numpy's pairwise sum of |x| runs over all p entries, so a
+            # screened step sums |x| itself
+            mags = np.abs(x_new)
+        # _penalty(terms, x_new), bit for bit; non-finite if x_new is
         return x_new, support, r, \
-            0.5 * float(r @ r) + self._penalty(x_new, mags)
-
-    def _penalty(self, x, mags):
-        """``_penalty(terms, x)``, bit for bit, for the prox output x with
-        the magnitudes mags; non-finite if an entry of x is.
-
-        With a slope, |x| sorted in decreasing order is mags followed by
-        zeros, which add nothing to the sequential sum.  The pairwise sum
-        of l1 |x| runs over all p entries in order, so a screened or capped
-        step sums |x| itself.
-        """
-        l1, slope, ridge, _ = self.terms
-        if slope is not None:
-            value = self.weights[:mags.size] @ mags
-        elif mags.size == x.size:
-            value = l1 * mags.sum()
-        else:
-            value = l1 * np.abs(x).sum()
-        if ridge is not None:
-            value = value + 0.5 * ridge * (x @ x)
-        return float(value)
+            0.5 * float(r @ r) + _price(self.terms, self.weights, x_new, mags)
 
 
 def _initial_point(obj, x0):
@@ -512,7 +493,7 @@ def sparsa_solve(obj, x0=None, config=None):
     screen = _GradientScreen.of(obj)
     cols, grad = _gradient(obj, support, r, screen, stats)
     alpha = cfg.alpha_min
-    # a non-finite iterate makes its F non-finite (_Step._penalty)
+    # a non-finite iterate makes its F non-finite (_price)
     x_new, support_new, r_new, f_new = step(x, cols, grad, alpha, stats)
     if not np.isfinite(f_new):
         raise SolverDivergenceError("first step produced non-finite values")

@@ -1,12 +1,12 @@
 """Independent reference implementations used to verify the package.
 
 Everything here is deliberately written the slow, literal way (double
-loops over pairs, exhaustive enumeration, dense grids) so the fast
-implementations are checked against arithmetic that shares no code with
-them.
+loops over pairs, exhaustive enumeration) so the fast implementations
+are checked against arithmetic that shares no code with them.
 """
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -93,42 +93,88 @@ def prox_objective_rows(kind, params, Z, v):
     return _penalty_rows(kind, params, Z) + 0.5 * (d * d).sum(axis=1)
 
 
-def _axis_grid(center, half_width, step):
-    """Points center ± i*step covering [center-half_width, center+half_width],
-    always including exact 0 (the k-sparse penalty needs it reachable)."""
-    m = int(np.ceil(half_width / step))
-    pts = center + step * np.arange(-m, m + 1)
-    return np.unique(np.concatenate([pts, [0.0]]))
+@functools.lru_cache(maxsize=None)
+def _faces(p):
+    """Every face of R^p for the penalty family, as (S, R).
+
+    A face gives each coordinate either 0 or a sign and one of g ordered
+    groups of equal magnitude, group 0 the largest.  ``S[f, i, j]`` is
+    the sign of coordinate j if it lies in group i of face f, else 0;
+    ``R[f, i, r]`` is 1 if group i holds rank r (ranks count from the
+    largest magnitude), else 0.
+    """
+    S, R = [], []
+    for labels in itertools.product(range(p + 1), repeat=p):
+        used = sorted(set(labels) - {0})
+        if used != list(range(1, len(used) + 1)):
+            continue   # group labels 1..g, each used, 0 for a zero
+        nonzero = [j for j in range(p) if labels[j]]
+        sizes = [labels.count(g) for g in used]
+        for signs in itertools.product((1.0, -1.0), repeat=len(nonzero)):
+            s = np.zeros((p, p))
+            for j, sign in zip(nonzero, signs):
+                s[labels[j] - 1, j] = sign
+            r = np.zeros((p, p))
+            start = 0
+            for i, size in enumerate(sizes):
+                r[i, start:start + size] = 1.0
+                start += size
+            S.append(s)
+            R.append(r)
+    S, R = np.array(S), np.array(R)
+    S.flags.writeable = R.flags.writeable = False  # shared by the cache
+    return S, R
 
 
-def prox_bruteforce(kind, params, v, coarse_step, refine_to=1e-4):
-    """Two-stage grid minimizer of penalty(z) + 0.5*||z - v||^2.
+def prox_exact(kind, params, v):
+    """The least value of penalty(z) + 0.5*||z - v||^2, and a z attaining it,
+    by enumerating faces (``_faces``); for small p only.
 
-    Stage 1: full grid over the box ±2*||v||_inf at coarse_step.
-    Stage 2: repeatedly re-grid a ±2h window around the incumbent at a
-    5x finer step until the step drops below refine_to.
-    Returns the best objective value found.
+    On a face, z_j = s_j c_i for the coordinates j of group i, and the
+    penalty is linear in c: group i takes the per-rank weights of its
+    ranks, W_i, and a ridge term adds (ridge/2) |G_i| c_i^2.  Setting the
+    gradient in c_i to zero gives the face's one stationary point,
+
+        c_i = (s . v_{G_i} - W_i) / (|G_i| (1 + ridge)).
+
+    The faces where c is positive and strictly decreasing (and, under a
+    cap, which have at most k nonzeros) hold points of their own face.
+    The minimizer lies inside its own face, where the objective is a
+    strictly convex quadratic in c, so it is that face's stationary point;
+    the least literal objective (``prox_objective_rows``) over the
+    feasible faces is therefore the exact optimum.  Nothing is assumed
+    about which signs or order the minimizer keeps.
     """
     v = np.asarray(v, dtype=float)
     p = v.size
-    box = 2.0 * np.abs(v).max() if v.size else 1.0
-    box = max(box, coarse_step)
-
-    axes = [_axis_grid(0.0, box, coarse_step) for _ in range(p)]
-    best_val, best_z = np.inf, np.zeros(p)
-    h = coarse_step
-    while True:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        Z = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = prox_objective_rows(kind, params, Z, v)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_z = float(vals[i]), Z[i]
-        if h <= refine_to:
-            break
-        h = h / 5.0
-        axes = [_axis_grid(best_z[j], 2.0 * 5.0 * h, h) for j in range(p)]
-    return best_val, best_z
+    S, R = _faces(p)
+    ranks = np.arange(p)
+    ridge = 0.0
+    if kind == "lasso":
+        w = np.full(p, params["lam1"])
+    elif kind == "enet":
+        w, ridge = np.full(p, params["lam1"]), params["lam2"]
+    elif kind == "oscar":
+        # rank r is the larger of a pair with each of the p - 1 - r below it
+        w = params["lam1"] + params["lam2"] * (p - 1 - ranks)
+    elif kind == "sparc":
+        k = params["k"]
+        w = np.where(ranks < k, params["lam"] * (k - 1 - ranks), 0.0)
+    else:
+        raise ValueError(kind)
+    sizes = np.abs(S).sum(axis=2)                        # (faces, groups)
+    present = sizes > 0
+    c = np.where(present,
+                 (S @ v - R @ w) / np.maximum(sizes, 1.0) / (1.0 + ridge),
+                 0.0)
+    nxt = np.concatenate([c[:, 1:], np.zeros((c.shape[0], 1))], axis=1)
+    feasible = np.all(~present | ((c > 0) & (c > nxt)), axis=1)
+    if kind == "sparc":
+        feasible &= sizes.sum(axis=1) <= params["k"]
+    Z = np.einsum("fi,fij->fj", c[feasible], S[feasible])
+    vals = prox_objective_rows(kind, params, Z, v)
+    best = int(np.argmin(vals))
+    return float(vals[best]), Z[best]
 
 
 # ------------------------------------- per-class penalty and prox chains

@@ -4,7 +4,8 @@ Every check prints one ``[PASS]``/``[FAIL]`` line (run with ``pytest -s``
 to see them live) and then asserts, so the suite both documents and
 enforces the package's headline guarantees:
 
-1.  every proximity operator beats an exhaustive two-stage grid search,
+1.  every proximity operator reaches the exact optimum that enumerating
+    every face finds,
 2.  the pooling projection matches block enumeration,
 3.  the ordered-weight penalty form matches the literal pairwise sums,
 4.  on an identity design the solver lands on the closed-form prox,
@@ -49,7 +50,7 @@ from sparcreg.solver import Objective, gradient_smooth, objective_value, \
 from oracles import (
     isotonic_decreasing_bruteforce,
     oscar_penalty_direct,
-    prox_bruteforce,
+    prox_exact,
     sparc_penalty_direct,
 )
 
@@ -83,14 +84,13 @@ def _mean(report, method, metric):
 
 def test_prox_matches_exhaustive_search():
     rng = np.random.default_rng(1001)
-    # (dimension, cases, coarse grid step, max vector scale); the finer 2-D
-    # grid gives the strongest check, higher dimensions keep the oracle
-    # tractable with a coarser first stage
-    plans = [(2, 100, 0.01, 2.5), (3, 200, 0.2, 2.5), (4, 200, 0.5, 2.0)]
+    # (dimension, cases, max vector scale); the oracle enumerates every
+    # face of R^p, 24 483 of them at p = 5
+    plans = [(2, 100, 2.5), (3, 200, 2.5), (4, 200, 2.0), (5, 100, 2.0)]
     kinds = ("lasso", "enet", "oscar", "sparc")
-    worst = -np.inf
+    worst = 0.0
     total = 0
-    for p, count, coarse, scale in plans:
+    for p, count, scale in plans:
         for _ in range(count):
             v = rng.uniform(-scale, scale, size=p)
             kind = kinds[int(rng.integers(len(kinds)))]
@@ -107,12 +107,12 @@ def test_prox_matches_exhaustive_search():
             else:
                 reg, params = Sparc(lam1, k), {"lam": lam1, "k": k}
             ours = prox_objective(reg, v, prox(reg, v))
-            ref, _ = prox_bruteforce(kind, params, v, coarse)
-            worst = max(worst, ours - ref)
+            ref, _ = prox_exact(kind, params, v)
+            worst = max(worst, abs(ours - ref))
             total += 1
-    _line("prox-grid-oracle", worst <= 1e-6,
-          f"max objective excess {worst:.3e} over {total} cases "
-          f"(tolerance 1e-6)")
+    _line("prox-face-oracle", worst <= 1e-12,
+          f"max objective gap {worst:.3e} over {total} cases "
+          f"(tolerance 1e-12)")
 
 
 # ------------------------------------------------------------ criterion 2

@@ -69,6 +69,11 @@ class TestProx:
         assert code == 2
         assert "abc" in err
 
+    def test_empty_vector(self, capsys):
+        code, out, err = run(capsys, "prox", "--lasso", "--lambda1", "1",
+                             "--vec", " , ")
+        assert (code, out, err) == (2, "", "error: empty vector\n")
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "prox", "--lasso", "--vec", "1")
         assert code == 2
@@ -328,8 +333,14 @@ class TestFit:
         (["--method", "sparc", "--k", "0"],
          "k must be a positive integer, got 0"),
         (["--method", "sparc", "--k-grid", ","], "empty sparsity grid"),
+        (["--split", "0.5,0.5"],
+         "--split: fractions must be (train, validation, test), got 2"),
+        (["--split", "0.5,0.3,0.3"],
+         "--split: fractions must sum to 1, got 1.1"),
+        (["--split", "0.5,x,0.2"],
+         "--split: could not convert string to float: 'x'"),
     ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
-            "k-0", "empty-k-grid"])
+            "k-0", "empty-k-grid", "split-two", "split-sum", "split-token"])
     def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
                                                   bad, message):
         code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),

@@ -86,8 +86,13 @@ class TestIsotonicDecreasing:
         assert out[3:].tolist() == [-0.75, -0.75]
 
     def test_already_feasible_unchanged(self):
-        u = np.array([5.0, 3.0, 3.0, -1.0])
-        npt.assert_array_equal(isotonic_decreasing(u), u)
+        # a new array with the input's bytes: writing to it leaves u alone
+        u = np.array([5.0, 3.0, 3.0, 0.0, -0.0, -1.0])
+        out = isotonic_decreasing(u)
+        assert out.tobytes() == u.tobytes()
+        out[:] = 7.0
+        assert u.tobytes() == np.array([5.0, 3.0, 3.0, 0.0, -0.0,
+                                        -1.0]).tobytes()
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(11)

@@ -26,7 +26,6 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .data import (
-    DataError,
     SPLIT_NAMES,
     SyntheticSpec,
     _check_fractions,
@@ -72,24 +71,17 @@ def _parse_list(text, flag, cast=float):
 
 def _solver_config(args):
     try:
-        return SolverConfig(
-            eta=args.eta, alpha_min=args.alpha_min,
-            alpha_max=args.alpha_max, max_outer=args.max_outer,
-            max_inner=args.max_inner, tol=args.tol, sigma=args.sigma,
-        )
+        return SolverConfig(**{f.name: getattr(args, f.name)
+                               for f in fields(SolverConfig)})
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
 def _add_solver_flags(p):
-    d = SolverConfig()
-    p.add_argument("--eta", type=float, default=d.eta)
-    p.add_argument("--alpha-min", type=float, default=d.alpha_min)
-    p.add_argument("--alpha-max", type=float, default=d.alpha_max)
-    p.add_argument("--max-outer", type=int, default=d.max_outer)
-    p.add_argument("--max-inner", type=int, default=d.max_inner)
-    p.add_argument("--tol", type=float, default=d.tol)
-    p.add_argument("--sigma", type=float, default=d.sigma)
+    # one flag per SolverConfig field, typed and defaulted as the field
+    for f in fields(SolverConfig):
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       type=type(f.default), default=f.default)
 
 
 def _add_common_flags(p):
@@ -332,21 +324,35 @@ def cmd_fit(args):
 def cmd_describe(args):
     label, _, A, y, split = _load_table(args.csv, None, "split")
     values, counts = np.unique(y, return_counts=True)
-    task = "classification" if values.size == 2 else "regression"
     norms = _column_norms(A)
-
-    print(f"n={A.shape[0]} p={A.shape[1]}")
-    print(f"label column: {label}")
-    print(f"task={task} (inferred)")
-    if task == "classification":
-        for v, c in zip(values, counts):
-            print(f"class {_fmt(v)}: {c} rows")
+    d = {"n": A.shape[0], "p": A.shape[1], "label": label,
+         "task": "classification" if values.size == 2 else "regression",
+         "classes": None, "label_range": None,
+         "norm_range": [float(norms.min()), float(norms.max())],
+         "split": (None if split is None else
+                   {name: split.count(name) for name in SPLIT_NAMES})}
+    if values.size == 2:
+        d["classes"] = [{"value": float(v), "rows": int(c)}
+                        for v, c in zip(values, counts)]
     else:
-        print(f"label range [{_fmt(y.min())}, {_fmt(y.max())}]")
-    print(f"column norms in [{_fmt(norms.min())}, {_fmt(norms.max())}]")
-    if split is not None:
-        for name in SPLIT_NAMES:
-            print(f"split {name}: {split.count(name)} rows")
+        d["label_range"] = [float(y.min()), float(y.max())]
+
+    if args.json:
+        # an infinite norm becomes null, so stdout stays strict JSON
+        d["norm_range"] = [v if np.isfinite(v) else None
+                           for v in d["norm_range"]]
+        print(json.dumps(d, sort_keys=True))
+        return 0
+    print(f"n={d['n']} p={d['p']}")
+    print(f"label column: {label}")
+    print(f"task={d['task']} (inferred)")
+    for c in d["classes"] or ():
+        print(f"class {_fmt(c['value'])}: {c['rows']} rows")
+    if d["label_range"] is not None:
+        print("label range [{}, {}]".format(*map(_fmt, d["label_range"])))
+    print("column norms in [{}, {}]".format(*map(_fmt, d["norm_range"])))
+    for name, c in (d["split"] or {}).items():
+        print(f"split {name}: {c} rows")
     return 0
 
 
@@ -471,10 +477,8 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, SolverDivergenceError) as exc:
+    except (OSError, ValueError, SolverDivergenceError) as exc:
+        # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ error or reads what only it accepts.
 from __future__ import annotations
 
 import csv
-import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -146,8 +145,34 @@ class Dataset:
         return _select_rows(self.A, m), _select_rows(self.y, m)
 
 
+class _BlockDesign:
+    """The block design both synthetic specs describe: ``n_groups`` groups
+    of ``group_size`` columns, then ``n_irrelevant`` independent columns,
+    over ``n_train`` + ``n_validation`` + ``n_test`` rows.  A plain class,
+    so the dataclass fields stay those of each spec."""
+
+    def _check(self, noise, what):
+        """Raise ValueError unless the design is non-trivial, the noise
+        parameters (``what``, ``within_noise_var`` and ``noise``) are
+        non-negative and every split has a sample."""
+        if min(self.n_groups, self.group_size) < 1 or self.n_irrelevant < 0:
+            raise ValueError("group structure must be non-trivial")
+        if self.within_noise_var < 0 or noise < 0:
+            raise ValueError(f"{what} must be >= 0")
+        if min(self.n_train, self.n_validation, self.n_test) < 1:
+            raise ValueError("every split needs at least one sample")
+
+    @property
+    def p(self):
+        return self.n_groups * self.group_size + self.n_irrelevant
+
+    @property
+    def n(self):
+        return self.n_train + self.n_validation + self.n_test
+
+
 @dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(_BlockDesign):
     """Grouped-covariates regression benchmark configuration.
 
     Defaults give p = 40 features: 3 groups of 5 columns built from shared
@@ -169,24 +194,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_groups, self.group_size) < 1 or self.n_irrelevant < 0:
-            raise ValueError("group structure must be non-trivial")
-        if self.within_noise_var < 0 or self.observation_noise_var < 0:
-            raise ValueError("variances must be >= 0")
-        if min(self.n_train, self.n_validation, self.n_test) < 1:
-            raise ValueError("every split needs at least one sample")
-
-    @property
-    def p(self):
-        return self.n_groups * self.group_size + self.n_irrelevant
-
-    @property
-    def n(self):
-        return self.n_train + self.n_validation + self.n_test
+        self._check(self.observation_noise_var, "variances")
 
 
 @dataclass(frozen=True)
-class ClassificationSpec:
+class ClassificationSpec(_BlockDesign):
     """Planted-linear-separator classification benchmark configuration.
 
     Same block design as SyntheticSpec (grouped columns carry the signal),
@@ -206,20 +218,7 @@ class ClassificationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_groups, self.group_size) < 1 or self.n_irrelevant < 0:
-            raise ValueError("group structure must be non-trivial")
-        if self.within_noise_var < 0 or self.margin_noise_sd < 0:
-            raise ValueError("noise parameters must be >= 0")
-        if min(self.n_train, self.n_validation, self.n_test) < 1:
-            raise ValueError("every split needs at least one sample")
-
-    @property
-    def p(self):
-        return self.n_groups * self.group_size + self.n_irrelevant
-
-    @property
-    def n(self):
-        return self.n_train + self.n_validation + self.n_test
+        self._check(self.margin_noise_sd, "noise parameters")
 
 
 def _split_labels(n_train, n_validation, n_test):
@@ -363,9 +362,6 @@ def _parse_table(path, header, rows, line_nos, feat_idx, label_idx,
     """
     if not rows:
         raise DataError(f"{path}: no data rows")
-    # itemgetter of one index returns the cell itself, not a sequence
-    get = (operator.itemgetter(*feat_idx) if len(feat_idx) > 1 else
-           operator.itemgetter(slice(feat_idx[0], feat_idx[0] + 1)))
     A_rows, labels = [], []
     split = [] if split_idx is not None else None
     for row, line_no in zip(rows, line_nos):
@@ -374,14 +370,8 @@ def _parse_table(path, header, rows, line_nos, feat_idx, label_idx,
                 f"line {line_no}: expected {len(header)} fields, "
                 f"found {len(row)}"
             )
-        try:
-            # float() skips surrounding whitespace itself; a row it
-            # rejects is parsed again cell by cell, which names the bad
-            # cell or accepts whitespace only strip() removes ("\x1c")
-            A_rows.append([*map(float, get(row))])
-        except ValueError:
-            A_rows.append([_parse_cell(row[j].strip(), line_no, header[j])
-                           for j in feat_idx])
+        A_rows.append([_parse_cell(row[j].strip(), line_no, header[j])
+                       for j in feat_idx])
         labels.append(row[label_idx].strip())
         if split_idx is not None:
             s = row[split_idx].strip()
@@ -728,7 +718,7 @@ def normalize_dataset(ds, mode="l2"):
     else:
         raise ValueError(f"unknown normalization mode {mode!r}")
     out = Dataset(A, ds.y, ds.task, ds.x_true, ds.split, ds.feature_names)
-    return out, (scales if mode == "l2" else None)
+    return out, scales
 
 
 def top_correlation_screen(ds, m):

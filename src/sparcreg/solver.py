@@ -27,35 +27,11 @@ goes through the dense ``A @ x`` of the column-major A instead, which is
 then cheaper.  Either product may differ in the last bit from ``A @ x`` of
 a row-major A.
 
-Above the same size rule, A^T r is screened (``_GradientScreen``): the
-solve keeps its last dense gradient g_ref = A^T r_ref, and with the column
-norms c_j = ||A_j||, which ``Objective`` computes once, each entry obeys
-|g_j - g_ref_j| <= c_j ||r - r_ref||.  Only the entries where x is nonzero
-or where that bound, plus a rounding slack proportional to
-n eps c_j (||r|| + ||r_ref||), can reach the prox's zero threshold are
-computed, as ``A.T[E] @ r``.  Without a cap the threshold is the l1
-weight: an off-support entry with |g_j| <= l1 comes out of the prox as 0
-either way.  Under a cap k an entry is skipped when its upper bound lies
-a few ulps below the k-th largest off-support lower bound, so k computed
-entries beat it at every alpha.  The step then runs on E alone: the prox
-of x_E - g_E / alpha, with the OWL dimension p, scattered into a zero
-p-vector.  That is the prox of the gradient step with every skipped entry
-0, bit for bit, and the prox of the full product up to the sign of a zero.
-When more than p / 4 entries would be computed, the dense product is
-taken and becomes the new reference.  With l1 = 0 and no cap, or a cap
-above p / 4, every product is dense.  A gathered entry may differ in the
-last bit from the dense product: OpenBLAS's ``dgemv_t`` takes the columns
-4 at a time, and the last ``|E| mod 4`` ones go through other code.  In
-``largep-path`` at seed 0, 2 156 of 2 921 gradients were screened, over
-451 columns on average.
-
-The objective and x0 are checked on entry.  Each candidate is one step
-(``_Step``) that computes every quantity once: one checked ``prox`` call,
-which also returns the output magnitudes the prox holds in rank order,
-the penalty priced on those with weights built once per solve, and the
-residual over the support of the prox output.  Every output is, bit for
-bit, that of ``prox`` on the whole p-vector step (skipped gradient
-entries 0) priced by ``penalty_value``.
+Above the same size rule, A^T r is computed only on the coordinates the
+prox can move (``_GradientScreen``).  The objective and x0 are checked on
+entry; each candidate is then one ``_Step``, which computes its prox, F
+and residual once and gives the bytes of ``prox`` on the whole p-vector
+step priced by ``penalty_value`` (README, "Large designs").
 """
 
 from __future__ import annotations
@@ -471,15 +447,18 @@ def _initial_point(obj, x0):
 def sparsa_solve(obj, x0=None, config=None):
     """Run the BB proximal-gradient iteration to convergence.
 
-    The first step uses alpha = alpha_min with no acceptance test (there is
-    no displacement yet to estimate curvature from).  Every later outer
-    iteration computes the gradient once, seeds alpha from the BB ratio
-    clamped to [alpha_min, alpha_max], and backtracks by eta until the
-    monotone sufficient-decrease test passes.
+    Every outer iteration computes the gradient once and backtracks from
+    alpha by eta until the monotone sufficient-decrease test passes.
+    Iteration 0 differs in three ways, since there is no displacement yet
+    to estimate curvature from: alpha is alpha_min, its one candidate is
+    taken without the test, and the relative-F tolerance is not checked.
+    Every later iteration seeds alpha from the BB ratio clamped to
+    [alpha_min, alpha_max].
 
     Returns a SolverResult whose trace holds F after each accepted step;
-    the trace is non-increasing.  Raises SolverDivergenceError if any
-    prox argument, iterate or objective value becomes non-finite.
+    the trace is non-increasing, but trace[0] may exceed F(x0).  Raises
+    SolverDivergenceError if the objective at the start, or any prox
+    argument, iterate or objective value, becomes non-finite.
     """
     cfg = config if config is not None else SolverConfig()
     stats = SolverStats()
@@ -491,33 +470,29 @@ def sparsa_solve(obj, x0=None, config=None):
     step = _Step(obj)
     support = step.support(x)
     screen = _GradientScreen.of(obj)
-    cols, grad = _gradient(obj, support, r, screen, stats)
     alpha = cfg.alpha_min
-    # a non-finite iterate makes its F non-finite (_price)
-    x_new, support_new, r_new, f_new = step(x, cols, grad, alpha, stats)
-    if not np.isfinite(f_new):
-        raise SolverDivergenceError("first step produced non-finite values")
-    x_prev, f_prev = x, f_x
-    x, support, f_x, r = x_new, support_new, f_new, r_new
-    trace = [f_x]
+    trace = []
     termination = "max-iterations"
 
-    for _ in range(1, cfg.max_outer):
-        s = x - x_prev
-        ss = float(s @ s)
-        if ss == 0.0:
-            # the last step moved nowhere: fixed point reached
-            termination = "tolerance"
-            break
-        # bb_step's ratio.  A s, not r - r_prev: the difference rounds
-        # differently and moves alpha
-        As = _times_A(obj, s, stats)
-        alpha = min(max(float(As @ As) / ss, cfg.alpha_min), cfg.alpha_max)
+    for it in range(cfg.max_outer):
+        if it:
+            s = x - x_prev
+            ss = float(s @ s)
+            if ss == 0.0:
+                # the last step moved nowhere: fixed point reached
+                termination = "tolerance"
+                break
+            # bb_step's ratio.  A s, not r - r_prev: the difference rounds
+            # differently and moves alpha
+            As = _times_A(obj, s, stats)
+            alpha = min(max(float(As @ As) / ss, cfg.alpha_min),
+                        cfg.alpha_max)
         cols, grad = _gradient(obj, support, r, screen, stats)
 
         accepted = False
         best_x, best_f = None, np.inf
         for _ in range(cfg.max_inner):
+            # a non-finite iterate makes its F non-finite (_price)
             x_cand, support_cand, r_cand, f_cand = step(x, cols, grad, alpha,
                                                         stats)
             if not np.isfinite(f_cand):
@@ -527,7 +502,10 @@ def sparsa_solve(obj, x0=None, config=None):
             if f_cand < best_f:
                 best_x, best_f = x_cand, f_cand
             d = x_cand - x
-            if f_cand <= f_x - 0.5 * cfg.sigma * alpha * float(d @ d):
+            # the first step is taken without the test, so F may rise
+            # from x0 to trace[0]
+            if not it or \
+                    f_cand <= f_x - 0.5 * cfg.sigma * alpha * float(d @ d):
                 accepted = True
                 break
             stats.backtracks += 1
@@ -541,7 +519,6 @@ def sparsa_solve(obj, x0=None, config=None):
                 RuntimeWarning,
             )
             if best_f <= f_x:
-                x_prev, f_prev = x, f_x
                 x, f_x = best_x, best_f
                 trace.append(f_x)
             termination = "line-search-cap"
@@ -551,8 +528,7 @@ def sparsa_solve(obj, x0=None, config=None):
         x, support, f_x, r = x_cand, support_cand, f_cand, r_cand
         trace.append(f_x)
 
-        denom = max(abs(f_prev), 1.0)
-        if abs(f_prev - f_x) / denom < cfg.tol:
+        if it and abs(f_prev - f_x) / max(abs(f_prev), 1.0) < cfg.tol:
             termination = "tolerance"
             break
 

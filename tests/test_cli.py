@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import sparcreg
 from sparcreg.cli import main
 from sparcreg.data import ClassificationSpec, DataError, Dataset, \
     generate_grouped_classification, load_csv, write_csv
+from sparcreg.solver import SolverConfig
 
 
 SRC = pathlib.Path(sparcreg.__file__).resolve().parents[1]
@@ -209,6 +211,30 @@ class TestFit:
         assert len(coef) == 7
         assert coef[1].startswith("c0,")
         assert (out_dir / "metrics.json").exists()
+
+    def test_every_solver_flag_reaches_the_config(self, capsys, planted_csv,
+                                                  tmp_path):
+        given = {"eta": 3.0, "alpha_min": 0.5, "alpha_max": 1e20,
+                 "max_outer": 500, "max_inner": 40, "tol": 1e-8,
+                 "sigma": 0.02}
+        defaults = asdict(SolverConfig())
+        assert given.keys() == defaults.keys()
+        assert all(given[k] != v for k, v in defaults.items())
+        flags = ["--eta", "3", "--alpha-min", "0.5", "--alpha-max", "1e20",
+                 "--max-outer", "500", "--max-inner", "40", "--tol", "1e-8",
+                 "--sigma", "0.02"]
+        for extra, expected in ((flags, given), ([], defaults)):
+            out_dir = tmp_path / f"out{len(extra)}"
+            code, _, err = run(capsys, "fit", str(planted_csv),
+                               "--label", "label", "--task", "regression",
+                               "--method", "lasso", "--lambda-grid", "0.1",
+                               "--outdir", str(out_dir), *extra)
+            assert (code, err) == (0, "")
+            solver = json.loads((out_dir / "metrics.json").read_text())[
+                "config"]["solver"]
+            assert solver == expected
+            assert {k: type(v) for k, v in solver.items()} == \
+                {k: type(v) for k, v in expected.items()}
 
     def test_coefficient_names_are_quoted(self, capsys, tmp_path):
         rng = np.random.default_rng(15)
@@ -417,6 +443,30 @@ class TestDescribe:
         assert "class 0: 2 rows" in out
         assert "class 1: 2 rows" in out
         assert "split train: 2 rows" in out
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b,label,split\n1,1.5e308,1,train\n2,1.5e308,0,train\n"
+         "3,0,1,validation\n4,0,0,test\n",
+         {"n": 4, "p": 2, "label": "label", "task": "classification",
+          "classes": [{"value": 0.0, "rows": 2}, {"value": 1.0, "rows": 2}],
+          "label_range": None, "norm_range": [30 ** 0.5, None],
+          "split": {"train": 2, "validation": 1, "test": 1}}),
+        ("a,label\n3,0.5\n4,1.5\n0,-2.5\n",
+         {"n": 3, "p": 1, "label": "label", "task": "regression",
+          "classes": None, "label_range": [-2.5, 1.5],
+          "norm_range": [5.0, 5.0], "split": None}),
+    ], ids=["classification-infinite-norm", "regression"])
+    def test_json_summary(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "describe", str(path), "--json")
+        assert (code, err) == (0, "")
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        assert json.loads(out, parse_constant=refuse) == expected
+        assert out == json.dumps(expected, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("scale, norms", [
         ("e200", "[3.16228, 2.23607e+200]"),

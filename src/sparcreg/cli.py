@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -58,23 +59,28 @@ class CliError(Exception):
     """Argument-level problem; maps to exit code 2."""
 
 
+@contextmanager
+def _usage(prefix=""):
+    """Report a ValueError raised inside as a CliError, after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{prefix}{exc}") from None
+
+
 def _fmt(v):
     return f"{v:g}"
 
 
 def _parse_list(text, flag, cast=float):
-    try:
+    with _usage(f"{flag}: "):
         return [cast(t) for t in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise CliError(f"{flag}: {exc}") from None
 
 
 def _solver_config(args):
-    try:
+    with _usage():
         return SolverConfig(**{f.name: getattr(args, f.name)
                                for f in fields(SolverConfig)})
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _add_solver_flags(p):
@@ -122,10 +128,7 @@ def _prox_regularizer(args):
     for f in fields(_BY_METHOD[method]):
         if f.name not in given:
             raise CliError(f"--{method} requires {_FIELD_FLAGS[f.name][0]}")
-    try:
-        return _BY_METHOD[method](**given)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return _BY_METHOD[method](**given)
 
 
 def cmd_prox(args):
@@ -136,12 +139,10 @@ def cmd_prox(args):
             v = _parse_list(fh.read(), "--vec-file")
     if not v:
         raise CliError("empty vector")
-    reg = _prox_regularizer(args)
-    try:
+    with _usage():
+        reg = _prox_regularizer(args)
         x = prox(reg, v)
         obj = prox_objective(reg, v, x)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     if args.json:
         print(json.dumps(
             {"x": [float(t) for t in x], "objective": float(obj)},
@@ -173,17 +174,13 @@ def _grid_axes(args, p):
            if args.lambda_grid else None)
     ks = (_parse_list(args.k_grid, "--k-grid", int)
           if args.k_grid else None)
-    try:
+    with _usage():
         return _axes(p, lam_grid=lam, k_grid=ks)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _grids(methods, axes):
-    try:
+    with _usage():
         return GridSpec(**{m: _method_grid(m, axes) for m in methods})
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _print_config_lines(pairs):
@@ -221,10 +218,8 @@ def cmd_synth(args):
 # ----------------------------------------------------------------- fit
 
 def _parse_fractions(text):
-    try:
+    with _usage("--split: "):
         return tuple(_check_fractions(_parse_list(text, "--split")))
-    except ValueError as exc:
-        raise CliError(f"--split: {exc}") from None
 
 
 def _fit_grid(args, p, given):
@@ -261,10 +256,8 @@ def cmd_fit(args):
     # one feature holds them all (the k axis for the real p comes later)
     _fit_grid(args, 1, given)
     ds = load_csv(args.csv, args.label, args.task)
-    try:
+    with _usage():
         ds = split_dataset(ds, fractions, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     kept = None
     if args.screen is not None:
         ds, kept = top_correlation_screen(ds, args.screen)
@@ -297,9 +290,8 @@ def cmd_fit(args):
         },
     }
     os.makedirs(args.outdir, exist_ok=True)
-    names = ds.feature_names or tuple(f"f{j}" for j in range(1, ds.p + 1))
-    _write_coefficients(
-        os.path.join(args.outdir, "coefficients.csv"), names, e, scales)
+    _write_coefficients(os.path.join(args.outdir, "coefficients.csv"),
+                        ds.feature_names, e, scales)
     with open(os.path.join(args.outdir, "metrics.json"), "w",
               encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -460,25 +452,15 @@ def _expand_config(argv):
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _expand_config(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
+        args = build_parser().parse_args(_expand_config(argv))
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return exc.code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, SolverDivergenceError) as exc:
-        # DataError is a ValueError
+        # DataError and a config file's UnicodeDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -465,8 +465,8 @@ def _load_table(path, label_column, split_column, classify=False):
             )
         else:
             label_idx = header.index(label_column)
-            if split_idx == label_idx:
-                raise DataError("label and split columns must differ")
+        if split_idx == label_idx:
+            raise DataError("label and split columns must differ")
         feat_idx = [
             j for j in range(len(header)) if j not in (label_idx, split_idx)
         ]

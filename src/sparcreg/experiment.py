@@ -33,6 +33,7 @@ from .data import (
     split_dataset,
 )
 from .metrics import METRIC_NAMES, cla, compute_report, nnz
+from .prox import _check_count
 from .regularizers import _BY_METHOD, Regularizer
 from .solver import (
     Objective,
@@ -100,12 +101,9 @@ def _axes(p, lam_grid=None, k_grid=None):
         raise ValueError("empty penalty grid")
     if k_grid is None:
         k_grid = (5, 10, 15, 20, 25)
-    k_grid = [int(k) for k in k_grid]
+    k_grid = [_check_count(k, "k") for k in k_grid]
     if not k_grid:
         raise ValueError("empty sparsity grid")
-    for k in k_grid:
-        if k < 1:
-            raise ValueError(f"k must be a positive integer, got {k}")
     ks = tuple(sorted((k for k in k_grid if k <= p), reverse=True))
     if not ks:
         ks = (int(p),)
@@ -126,7 +124,8 @@ def default_grids(p, lam_grid=None, k_grid=None):
     The scalar penalties share a 10-point logarithmic grid from 1e-3 to
     10; two-parameter methods take the full product.  The sparsity levels
     default to {5, 10, 15, 20, 25} filtered to k <= p, or (p,) when every
-    level exceeds p.  An empty grid, or a level below 1, raises ValueError.
+    level exceeds p.  An empty grid, or a level that is not a positive
+    integer, raises ValueError.
 
     Grid order is part of the design: every axis sweeps from strong to
     weak regularization, so warm starts follow the usual continuation
@@ -161,7 +160,6 @@ def grid_search(ds, grid, config=None):
     A_val, y_val = ds.part("validation")
     if train.A.shape[0] == 0 or A_val.shape[0] == 0:
         raise ValueError("train and validation splits must be non-empty")
-    cfg = config if config is not None else SolverConfig()
 
     cache = {}
     x_warm = None
@@ -170,7 +168,7 @@ def grid_search(ds, grid, config=None):
         if reg in cache:
             e = cache[reg]
         else:
-            res = sparsa_solve(train._with_reg(reg), x0=x_warm, config=cfg)
+            res = sparsa_solve(train._with_reg(reg), x0=x_warm, config=config)
             e = res.x
             cache[reg] = e
         x_warm = e

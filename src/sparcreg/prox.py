@@ -58,9 +58,20 @@ def _check_nonneg(value, name):
     return value
 
 
+def _check_count(value, name):
+    """int(value) for a finite, integral value >= 1; anything else raises."""
+    try:
+        count = int(value)
+    except (ValueError, OverflowError):  # nan, inf
+        count = 0
+    if count != value or count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return count
+
+
 def _check_k(k, p):
-    k = int(k)
-    if not 1 <= k <= p:
+    k = _check_count(k, "k")
+    if k > p:
         raise ValueError(f"k must satisfy 1 <= k <= {p}, got {k}")
     return k
 
@@ -102,10 +113,7 @@ def owl_weights(lam1, lam2, d):
     """
     lam1 = _check_nonneg(lam1, "lam1")
     lam2 = _check_nonneg(lam2, "lam2")
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"d must be a positive integer, got {d}")
-    return _owl(lam1, lam2, d)
+    return _owl(lam1, lam2, _check_count(d, "d"))
 
 
 def _pava(u):

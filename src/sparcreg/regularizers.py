@@ -36,6 +36,7 @@ import numpy as np
 
 from .prox import (  # the public operators stay importable from here
     _as_vector,
+    _check_count,
     _check_k,
     _check_nonneg,
     _owl,
@@ -118,9 +119,7 @@ class Sparc(Regularizer):
 
     def __post_init__(self):
         _check_nonneg(self.lam, "lam")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _check_count(self.k, "k"))
 
     def terms(self):
         return 0.0, self.lam, None, self.k
@@ -145,9 +144,7 @@ def _scale(reg, alpha):
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    if not isinstance(reg, Regularizer):  # _terms inline: once per candidate
-        raise TypeError(f"unknown regularizer {reg!r}")
-    l1, slope, ridge, k = reg.terms()
+    l1, slope, ridge, k = _terms(reg)
     scaled = (l1 / alpha,
               None if slope is None else slope / alpha,
               None if ridge is None else ridge / alpha,

@@ -14,24 +14,10 @@ A x - y of each candidate gives both its objective value and, once it is
 accepted, the next gradient, so an outer iteration costs one product with
 A per candidate, one with A^T, and one with A for the BB step.
 
-Which product with A depends on the design's size, decided once per
-``Objective``, and above that on the density of x.  Below 2**16 entries A
-stays as given and every product is the plain ``A @ x``.  From 2**16
-entries on, the ``Objective`` keeps A column-major and the products with A
-(the candidate and start residuals, the BB product and
-``objective_value``) use only the columns where x is nonzero,
-``A[:, nz] @ x[nz]``; prox outputs hold exact zeros, so a sparse iterate
-pays for its support, not for p.  An x with more than p / 4 nonzeros, such
-as one of the first candidates of a Lasso, ElasticNet or Oscar solve,
-goes through the dense ``A @ x`` of the column-major A instead, which is
-then cheaper.  Either product may differ in the last bit from ``A @ x`` of
-a row-major A.
-
-Above the same size rule, A^T r is computed only on the coordinates the
-prox can move (``_GradientScreen``).  The objective and x0 are checked on
-entry; each candidate is then one ``_Step``, which computes its prox, F
-and residual once and gives the bytes of ``prox`` on the whole p-vector
-step priced by ``penalty_value`` (README, "Large designs").
+From 2**16 design entries on, products with A run over the support of x
+(``_times_A``) and A^T r over the coordinates the prox can move
+(``_GradientScreen``); each candidate is one ``_Step``.  Their docstrings
+give the rules, README "Large designs" the measurements.
 """
 
 from __future__ import annotations
@@ -43,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _select_rows
-from .prox import _as_vector, project_k_sparse
+from .prox import _as_vector, _check_count, project_k_sparse
 from .regularizers import (_penalty, _price, _terms, _weights,
                            penalty_value, prox)
 
@@ -175,12 +161,13 @@ class SolverConfig:
                 f"need 0 < alpha_min <= alpha_max, got "
                 f"{self.alpha_min}, {self.alpha_max}"
             )
-        if self.eta <= 1:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 1 < self.eta < math.inf:
+            raise ValueError(f"eta must lie in (1, inf), got {self.eta}")
+        for name in ("max_outer", "max_inner"):
+            object.__setattr__(self, name,
+                               _check_count(getattr(self, name), name))
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must lie in (0, inf), got {self.tol}")
         if not 0 < self.sigma < 1:
             raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
 
@@ -226,7 +213,8 @@ def _times_A(obj, x, stats=None, support=None):
     """A x; from 2**16 entries on, over the columns where x is nonzero,
     unless it has more than p / 4 of them.  ``support``, where the caller
     knows it, holds those columns in ascending order and spares the scan
-    of x."""
+    of x.  Either product may differ in the last bit from ``A @ x`` of a
+    row-major A."""
     A = obj.A
     if obj.col_norms is not None:
         if support is None:

@@ -365,8 +365,11 @@ class TestFit:
          "--split: fractions must sum to 1, got 1.1"),
         (["--split", "0.5,x,0.2"],
          "--split: could not convert string to float: 'x'"),
+        (["--eta", "nan"], "eta must lie in (1, inf), got nan"),
+        (["--tol", "inf"], "tol must lie in (0, inf), got inf"),
     ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
-            "k-0", "empty-k-grid", "split-two", "split-sum", "split-token"])
+            "k-0", "empty-k-grid", "split-two", "split-sum", "split-token",
+            "eta-nan", "tol-inf"])
     def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
                                                   bad, message):
         code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),
@@ -598,6 +601,13 @@ class TestConfigFile:
         code, _, _ = run(capsys, "prox", "--lasso", "--vec", "1",
                          "--config", str(tmp_path / "nope.cfg"))
         assert code == 1
+
+    def test_undecodable_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_bytes(b"seed=\xff\xfe\n")
+        code, out, err = run(capsys, "synth", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTopLevel:

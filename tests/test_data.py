@@ -331,6 +331,12 @@ class TestLoadCsvContract:
         npt.assert_array_equal(ds.y, [-1.0, 1.0, -1.0])
         assert ds.feature_names == ("a", "b")
 
+    def test_default_label_may_not_be_the_split_column(self, tmp_path):
+        path = self._write(tmp_path, "a,label\n1,train\n2,test\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, None, "regression", split_column="label")
+        assert str(exc.value) == "label and split columns must differ"
+
     def test_single_feature_column(self, tmp_path):
         path = self._write(tmp_path, "x,label\n12,1\n345,2\n")
         ds = load_csv(path, "label", "regression")

@@ -17,7 +17,9 @@ from sparcreg.prox import (
     top_k_support,
 )
 
+from sparcreg.experiment import default_grids
 from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox
+from sparcreg.solver import SolverConfig
 
 from oracles import (
     SortedMagnitudeView,
@@ -469,3 +471,38 @@ class TestInputValidation:
     def test_matrix_input_rejected(self):
         with pytest.raises(ValueError):
             prox_oscar(np.ones((2, 2)), 0.5, 0.5)
+
+
+# every count of the library, as (name, function of the count that
+# returns the count it kept)
+_COUNTS = {
+    "Sparc.k": lambda k: Sparc(0.1, k).k,
+    "prox_sparc": lambda k: int(np.count_nonzero(
+        prox_sparc([5.0, 4.0, 3.0, 2.0, 1.0], 0.1, k))),
+    "top_k_support": lambda k: top_k_support([3.0, 2.0, 1.0, 0.5], k).size,
+    "project_k_sparse": lambda k: int(np.count_nonzero(
+        project_k_sparse([3.0, 2.0, 1.0, 0.5], k))),
+    "owl_weights.d": lambda d: owl_weights(0.1, 0.2, d).size,
+    "default_grids.k_grid": lambda k: default_grids(
+        10, k_grid=[k]).sparc[0].k,
+    "SolverConfig.max_outer": lambda k: SolverConfig(max_outer=k).max_outer,
+}
+
+
+class TestCountRule:
+    """k, d and the iteration caps are counts: never truncated."""
+
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, 0, -1],
+                             ids=["fraction", "nan", "inf", "zero",
+                                  "negative"])
+    @pytest.mark.parametrize("count", _COUNTS.values(), ids=_COUNTS.keys())
+    def test_non_count_rejected(self, count, bad):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            count(bad)
+
+    @pytest.mark.parametrize("value", [3.0, np.int64(3)],
+                             ids=["float", "int64"])
+    @pytest.mark.parametrize("count", _COUNTS.values(), ids=_COUNTS.keys())
+    def test_integral_value_is_the_count(self, count, value):
+        kept = count(value)
+        assert kept == 3 and type(kept) is int

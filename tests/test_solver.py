@@ -105,6 +105,10 @@ class TestSolverConfig:
         dict(tol=0.0),
         dict(sigma=0.0),
         dict(sigma=1.0),
+        dict(eta=np.nan),
+        dict(eta=np.inf),
+        dict(tol=np.nan),
+        dict(tol=np.inf),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .prox import _check_count
+
 __all__ = [
     "SPLIT_NAMES",
     "DataError",
@@ -729,8 +731,7 @@ def top_correlation_screen(ds, m):
     correlation 0.  Returns (screened dataset, kept column indices);
     column order is preserved.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = _check_count(m, "m")
     if m >= ds.p:
         return ds, np.arange(ds.p)
     At, yt = ds.part("train")

@@ -281,8 +281,7 @@ def run_repetitions(source, grids, config=None, repetitions=50,
     loop continues; failed cells are excluded from the mean/std but stay
     visible in the report.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    repetitions = _check_count(repetitions, "repetitions")
     methods = tuple(methods)
     for m in methods:
         if not grids.grid_for(m):
@@ -337,7 +336,7 @@ def run_repetitions(source, grids, config=None, repetitions=50,
     return BenchmarkReport(
         task=task,
         methods=list(methods),
-        repetitions=int(repetitions),
+        repetitions=repetitions,
         master_seed=int(master_seed),
         metric_names=list(TABLE_METRICS[task]),
         summary=summary,

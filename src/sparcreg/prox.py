@@ -46,7 +46,8 @@ def _as_vector(v, name="v"):
             raise ValueError(
                 f"{name} must be a 1-D vector, got shape {arr.shape}"
             )
-    if not np.isfinite(arr).all():
+    # np.isfinite(arr).all(), without the method's wrapper
+    if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -95,9 +96,13 @@ def prox_elastic_net(v, lam1, lam2):
 
 
 def _owl(lam1, lam2, d, head=None):
-    # the first ``head`` (default all d) of the d weights
+    # the first ``head`` (default all d) of the d weights, built in place:
+    # the bits of lam1 + lam2 * arange
     stop = -1 if head is None else d - 1 - head
-    return lam1 + lam2 * np.arange(d - 1, stop, -1, dtype=float)
+    w = np.arange(d - 1, stop, -1, dtype=float)
+    w *= lam2
+    w += lam1
+    return w
 
 
 def owl_weights(lam1, lam2, d):
@@ -122,39 +127,52 @@ def _pava(u):
     Scan left to right keeping a stack of blocks (sum, width); while the
     newest block's mean is above its predecessor's, merge the two; finally
     expand each block to its mean.  Only strict violators merge, so a
-    non-increasing input comes back bit for bit.
+    non-increasing input comes back bit for bit, and an input without a
+    rise (u[j] > u[j-1]) comes back as a copy at once.
 
-    An element pushed without a merge leaves a singleton on top, and every
-    following element up to the next rise (u[j] > u[j-1]) is at or below
-    it, so that non-increasing stretch is pushed whole, with one extend;
-    only the first element, the rises and the elements after a merge run
-    the merge loop, and the arithmetic is that of pushing element by
-    element.
+    The newest block (s, w) lives in local variables and the stack lists
+    hold the blocks below it.  An element that does not merge starts a
+    singleton block, and every following element up to the next rise is
+    at or below it, so that non-increasing stretch is pushed whole, with
+    one extend; only the rises and the elements after a merge run the
+    merge loop, and the arithmetic is that of pushing element by element.
     """
+    ends = (u[1:] > u[:-1]).nonzero()[0].tolist()  # u[e + 1] > u[e]
+    if not ends:
+        return u.copy()
     vals = u.tolist()
     n = len(vals)
-    rises = ((u[1:] > u[:-1]).nonzero()[0] + 1).tolist()
-    rises.append(n)
-    sums = []
-    widths = []
-    i = r = 0
+    ends.append(n - 1)
+    e = ends[0]
+    sums = vals[:e]
+    widths = [1] * e
+    s = vals[e]
+    w = 1
+    i = e + 1
+    r = 1
     while i < n:
-        sums.append(vals[i])
-        widths.append(1)
-        i += 1
+        x = vals[i]
         # pool while predecessor mean < newest mean (cross-multiplied)
-        while len(sums) > 1 and sums[-2] * widths[-1] < sums[-1] * widths[-2]:
-            s = sums.pop()
-            w = widths.pop()
-            sums[-1] += s
-            widths[-1] += w
-        if widths[-1] == 1:
-            while rises[r] < i:
+        if s < x * w:
+            s += x
+            w += 1
+            while sums and sums[-1] * w < s * widths[-1]:
+                s += sums.pop()
+                w += widths.pop()
+            i += 1
+        else:
+            while ends[r] < i:
                 r += 1
-            j = rises[r]
-            sums.extend(vals[i:j])
-            widths.extend([1] * (j - i))
-            i = j
+            e = ends[r]
+            sums.append(s)
+            widths.append(w)
+            sums.extend(vals[i:e])
+            widths.extend([1] * (e - i))
+            s = vals[e]
+            w = 1
+            i = e + 1
+    sums.append(s)
+    widths.append(w)
     # free each list once its array exists, which keeps the peak memory
     # of a p = 10 000 call at the element loop's (~0.5 MB)
     del vals
@@ -162,7 +180,7 @@ def _pava(u):
     means = np.array(sums)
     del sums
     means /= widths  # float64 / int64 divides as s / w does per block
-    return np.repeat(means, widths)
+    return means.repeat(widths)
 
 
 def isotonic_decreasing(u):
@@ -174,9 +192,10 @@ def isotonic_decreasing(u):
     return _pava(_as_vector(u, "u"))
 
 
-def _prox_sorted(v, lam1, lam2, d):
-    """The OSCAR prox's kernel: (order, mags), the indices of the ranks it
-    sorts and their output magnitudes, non-increasing.
+def _prox_sorted(a, lam1, lam2, d):
+    """The OSCAR prox's kernel at the magnitudes a = |v|: (order, mags),
+    the indices of the ranks it sorts and their output magnitudes,
+    non-increasing.
 
     ``d`` is the OWL dimension, at least v.size: a v that stands for a
     d-vector which is zero elsewhere takes the first of the d weights.
@@ -188,10 +207,9 @@ def _prox_sorted(v, lam1, lam2, d):
     trailing ranks change no positive output, and the result is bit-for-bit
     that of sorting all d magnitudes.
     """
-    mags = np.abs(v)
-    top = (mags > lam1).nonzero()[0]
-    order = top[np.argsort(-mags[top], kind="stable")]
-    u = _pava(mags[order] - _owl(lam1, lam2, d, top.size))
+    top = (a > lam1).nonzero()[0]
+    order = top[(-a[top]).argsort(kind="stable")]
+    u = _pava(a[order] - _owl(lam1, lam2, d, top.size))
     return order, np.maximum(u, 0.0, out=u)
 
 
@@ -211,9 +229,12 @@ def prox_oscar(v, lam1, lam2):
                        _check_nonneg(lam2, "lam2"), None, None)[0]
 
 
-def _top_k(v, k):
-    mags = np.abs(v)
-    t = np.partition(mags, v.size - k)[v.size - k]  # k-th largest magnitude
+def _top_k(mags, k):
+    # the indices (ascending) of the k largest of the magnitudes mags
+    j = mags.size - k
+    part = mags.copy()
+    part.partition(j)  # np.partition(mags, j), without its wrapper
+    t = part[j]  # the k-th largest magnitude
     keep = mags >= t
     extra = np.count_nonzero(keep) - k
     if extra:
@@ -226,14 +247,14 @@ def _top_k(v, k):
 def top_k_support(v, k):
     """Indices (ascending) of the k largest entries of |v|; ties keep lower index."""
     v = _as_vector(v)
-    return _top_k(v, _check_k(k, v.size))
+    return _top_k(np.abs(v), _check_k(k, v.size))
 
 
 def project_k_sparse(v, k):
     """Keep the k largest-magnitude entries of v, zero the rest."""
     v = _as_vector(v)
-    idx = _top_k(v, _check_k(k, v.size))
-    out = np.zeros_like(v)
+    idx = _top_k(np.abs(v), _check_k(k, v.size))
+    out = np.zeros(v.size)
     out[idx] = v[idx]
     return out
 
@@ -251,23 +272,29 @@ def _prox_terms(v, l1, slope, ridge, k, d=None):
     (default v.size) is the OWL dimension of an uncapped slope, for a v
     that is the part of a d-vector outside of which it is zero.
     """
+    a = np.abs(v)
+    part = v
     if k is not None:
-        idx = _top_k(v, k)
-        out = np.zeros_like(v)
-        out[idx], mags = _prox_terms(v[idx], l1, slope, ridge, None)
-        return out, mags
+        # the prox of the top k, whose OWL dimension is k
+        idx = _top_k(a, k)
+        part, a, d = v[idx], a[idx], k
     if slope is None:
-        mags = np.maximum(np.abs(v) - l1, 0.0)
+        mags = np.maximum(a - l1, 0.0)
     else:
-        order, mags = _prox_sorted(v, l1, slope, v.size if d is None else d)
+        order, mags = _prox_sorted(a, l1, slope, v.size if d is None else d)
     if ridge is not None:
         # sign * (m / c) has the bits of (sign * m) / c: a sign is -1, 0 or 1
         mags = mags / (1.0 + ridge)
     out = mags
     if slope is not None:
-        out = np.zeros(v.size)
+        out = np.zeros(part.size)
         out[order] = mags
-    return np.sign(v) * out, mags
+    x = np.sign(part) * out
+    if k is None:
+        return x, mags
+    out = np.zeros(v.size)
+    out[idx] = x
+    return out, mags
 
 
 def prox_sparc(v, lam, k):

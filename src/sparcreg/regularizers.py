@@ -176,7 +176,7 @@ def _price(terms, weights, x, mags):
     """
     l1, slope, ridge, _ = terms
     if slope is None:
-        value = l1 * mags.sum()
+        value = l1 * np.add.reduce(mags)  # mags.sum(), without its wrapper
     else:
         value = weights[:mags.size] @ mags
     if ridge is not None:
@@ -222,9 +222,10 @@ def prox(reg, v, alpha=1.0, *, d=None, magnitudes=False):
     magnitudes and zeroes the rest.  Checks alpha, the scaled terms, v and
     k <= v.size once, then runs the unchecked kernel ``_prox_terms``.
 
-    ``d`` (default v.size) is the length of the vector that v is the
-    nonzero part of: an uncapped slope then takes the first of the d
-    weights, and the result is that part of the prox of the d-vector.
+    ``d`` (default v.size), a count of at least v.size, is the length of
+    the vector that v is the nonzero part of: an uncapped slope then takes
+    the first of the d weights, and the result is that part of the prox
+    of the d-vector.
     With ``magnitudes`` it returns (x, mags), mags being what the penalty
     of x is priced on: with a slope, the magnitudes of x's nonzero ranks,
     non-increasing; without, |x| in the order of v (of its top k under a
@@ -234,8 +235,10 @@ def prox(reg, v, alpha=1.0, *, d=None, magnitudes=False):
     v = _as_vector(v)
     if k is not None:
         _check_k(k, v.size)
-    if d is not None and d < v.size:
-        raise ValueError(f"d must be at least v.size = {v.size}, got {d}")
+    if d is not None:
+        d = _check_count(d, "d")
+        if d < v.size:
+            raise ValueError(f"d must be at least v.size = {v.size}, got {d}")
     out = _prox_terms(v, l1, slope, ridge, k, d)
     return out if magnitudes else out[0]
 

@@ -395,11 +395,16 @@ class _Step:
         """(x+, its support, A x+ - y, F(x+)) for the gradient g, given on
         the coordinates cols (all where cols is None)."""
         p = x.size
-        v = x - g / alpha if cols is None else x[cols] - g / alpha
+        # only a screened step names the OWL dimension p; a full step's
+        # default, v.size, is p without the check of d
+        if cols is None:
+            v, d = x - g / alpha, None
+        else:
+            v, d = x[cols] - g / alpha, p
         try:
             # the one checked prox call of the candidate; a ValueError here
             # means its argument or the scaled penalty overflowed
-            out, mags = prox(self.obj.reg, v, alpha, d=p, magnitudes=True)
+            out, mags = prox(self.obj.reg, v, alpha, d=d, magnitudes=True)
         except ValueError as exc:
             raise SolverDivergenceError(
                 f"prox step overflowed: {exc}") from None
@@ -452,7 +457,7 @@ def sparsa_solve(obj, x0=None, config=None):
     stats = SolverStats()
     x = _initial_point(obj, x0)
     r, f_x = _residual_and_objective(obj, x, stats)
-    if not np.isfinite(f_x):
+    if not math.isfinite(f_x):
         raise SolverDivergenceError(f"objective at start is {f_x}")
 
     step = _Step(obj)
@@ -464,8 +469,8 @@ def sparsa_solve(obj, x0=None, config=None):
 
     for it in range(cfg.max_outer):
         if it:
-            s = x - x_prev
-            ss = float(s @ s)
+            # s is the last step, x - x_prev, and ss = ||s||^2: both
+            # computed once, for the accepted candidate's test
             if ss == 0.0:
                 # the last step moved nowhere: fixed point reached
                 termination = "tolerance"
@@ -483,17 +488,17 @@ def sparsa_solve(obj, x0=None, config=None):
             # a non-finite iterate makes its F non-finite (_price)
             x_cand, support_cand, r_cand, f_cand = step(x, cols, grad, alpha,
                                                         stats)
-            if not np.isfinite(f_cand):
+            if not math.isfinite(f_cand):
                 raise SolverDivergenceError(
                     "iterate became non-finite during backtracking"
                 )
             if f_cand < best_f:
                 best_x, best_f = x_cand, f_cand
-            d = x_cand - x
+            s = x_cand - x
+            ss = float(s @ s)
             # the first step is taken without the test, so F may rise
             # from x0 to trace[0]
-            if not it or \
-                    f_cand <= f_x - 0.5 * cfg.sigma * alpha * float(d @ d):
+            if not it or f_cand <= f_x - 0.5 * cfg.sigma * alpha * ss:
                 accepted = True
                 break
             stats.backtracks += 1
@@ -512,7 +517,7 @@ def sparsa_solve(obj, x0=None, config=None):
             termination = "line-search-cap"
             break
 
-        x_prev, f_prev = x, f_x
+        f_prev = f_x
         x, support, f_x, r = x_cand, support_cand, f_cand, r_cand
         trace.append(f_x)
 

@@ -780,5 +780,7 @@ class TestCorrelationScreen:
         npt.assert_array_equal(ds.x_true, base.x_true[keep])
 
     def test_invalid_m(self):
-        with pytest.raises(ValueError):
-            top_correlation_screen(self._ds(), 0)
+        for m in (0, 2.5, float("inf")):
+            with pytest.raises(ValueError,
+                               match="m must be a positive integer"):
+                top_correlation_screen(self._ds(), m)

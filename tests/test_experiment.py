@@ -225,8 +225,11 @@ class TestRunRepetitions:
         assert "NNZ" in rep.summary["lasso"]["mean"]
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            run_repetitions(_tiny_spec(), _tiny_grids(), repetitions=0)
+        for reps in (0, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="repetitions must be a "
+                                                 "positive integer"):
+                run_repetitions(_tiny_spec(), _tiny_grids(),
+                                repetitions=reps)
         with pytest.raises(ValueError):
             run_repetitions(_tiny_spec(), _tiny_grids(), methods=("ridge",))
         with pytest.raises(ValueError):

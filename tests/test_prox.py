@@ -174,6 +174,37 @@ class TestPavaKernel:
         positive = (u > 0).nonzero()[0]
         self._same(u[:positive[-1] + 1])
 
+    @pytest.mark.parametrize("slope", [1e-5, 1e-4, 1e-3])
+    @pytest.mark.parametrize("n", [2_000, 10_000])
+    def test_long_sorted_minus_linear_weights(self, n, slope):
+        # the large-p shape: sorted 3|N(0, 1)| minus the weights
+        # 0.25 + slope * rank of rank n - 1 down to 0; from a few rises
+        # (long stretches pushed whole) to thousands (long merge chains)
+        rng = np.random.default_rng(n)
+        mags = np.sort(3.0 * np.abs(rng.normal(0, 1, size=n)))[::-1]
+        u = mags - _owl(0.25, slope, n)
+        assert np.count_nonzero(u[1:] > u[:-1]) >= 5
+        self._same(u)
+
+    def test_long_non_increasing_input(self):
+        rng = np.random.default_rng(23)
+        u = np.sort(np.round(rng.normal(0, 2, size=10_000), 1))[::-1]
+        assert np.count_nonzero(u[1:] == u[:-1]) > 1000  # ties
+        self._same(u)
+        assert _pava(u).tobytes() == u.tobytes()
+
+    @pytest.mark.parametrize("u", [[], [2.5], [3.0, 3.0, -0.0, -1.0],
+                                   np.arange(25, 0, -1, dtype=float)],
+                             ids=["empty", "single", "ties", "decreasing"])
+    def test_feasible_input_comes_back_as_a_new_array(self, u):
+        u = np.asarray(u, dtype=float)
+        before = u.copy()
+        got = _pava(u)
+        assert got is not u and not np.shares_memory(got, u)
+        assert got.tobytes() == u.tobytes()
+        got[...] = 7.0  # writing the result leaves the input alone
+        assert u.tobytes() == before.tobytes()
+
 
 def _prox_oscar_full_pava(v, lam1, lam2):
     """prox_oscar with PAVA run over every sorted rank."""

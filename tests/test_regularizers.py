@@ -129,6 +129,19 @@ class TestProxDispatch:
         npt.assert_allclose(prox(Sparc(1.0, 2), v, alpha=4.0),
                             prox_sparc(v, 0.25, 2))
 
+    def test_owl_dimension_is_a_count(self):
+        # d = 2.5 would build the fractional weights [2.15, 1.65] in place
+        # of d = 2's [2.4, 1.9]; inf and nan reached np.arange
+        v = np.array([3.0, 2.0])
+        npt.assert_allclose(prox(Oscar(0.1, 0.5), v, d=2),
+                            prox(Oscar(0.1, 0.5), v))
+        npt.assert_allclose(prox(Oscar(0.1, 0.5), v, d=2.0),
+                            prox(Oscar(0.1, 0.5), v))
+        for d in (2.5, np.inf, np.nan, 0, -3):
+            with pytest.raises(ValueError,
+                               match="d must be a positive integer"):
+                prox(Oscar(0.1, 0.5), v, d=d)
+
 
 class TestProxKernels:
     """prox, penalty_value and prox_objective work once on the family's

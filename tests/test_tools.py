@@ -1,0 +1,34 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "fingerprints.py"
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, str(TOOL), *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestFingerprints:
+    def test_prints_one_digest_and_removes_its_workdir(self, tmp_path):
+        workdir = tmp_path / "work"
+        out = _run("--workload", "csv-fit", "--seed", "3",
+                   "--workdir", str(workdir))
+        assert out.returncode == 0, out.stderr
+        assert re.fullmatch(r"csv-fit seed=3 tasks=3 warnings=\d+ "
+                            r"sha256=[0-9a-f]{64}\n", out.stdout)
+        assert not workdir.exists()
+
+    @pytest.mark.parametrize("args, workdir, message", [
+        (("--workload", "nope"), "new", "unknown workload"),
+        ((), "", "exists"),
+    ], ids=["unknown-workload", "existing-workdir"])
+    def test_refuses(self, tmp_path, args, workdir, message):
+        out = _run(*args, "--workdir", str(tmp_path / workdir))
+        assert out.returncode != 0 and message in out.stderr
+        assert not (tmp_path / "new").exists()

@@ -41,6 +41,7 @@ from .experiment import (
     METHOD_NAMES,
     GridSpec,
     _axes,
+    _check_methods,
     _method_grid,
     _reg_to_dict,
     emit_table,
@@ -157,15 +158,8 @@ def cmd_prox(args):
 # --------------------------------------------------------------- synth
 
 def _parse_methods(text):
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    if not methods:
-        raise CliError("no methods given")
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise CliError(
-                f"unknown method {m!r}; choose from {', '.join(METHOD_NAMES)}"
-            )
-    return methods
+    with _usage():
+        return _check_methods(m.strip() for m in text.split(",") if m.strip())
 
 
 def _grid_axes(args, p):
@@ -435,18 +429,15 @@ def _config_tokens(path):
 
 
 def _expand_config(argv):
-    """Insert config-file tokens after the subcommand so real flags win."""
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                return argv  # argparse reports the missing value
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-        else:
-            continue
-        return argv[:1] + _config_tokens(path) + argv[1:]
-    return argv
+    """Insert config-file tokens after the subcommand so real flags win.
+    A second --config is refused; argparse reports a bare one at the end."""
+    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1])
+             if tok == "--config"]
+    paths += [tok.split("=", 1)[1] for tok in argv
+              if tok.startswith("--config=")]
+    if len(paths) > 1:
+        raise CliError("--config given more than once")
+    return argv[:1] + _config_tokens(paths[0]) + argv[1:] if paths else argv
 
 
 def main(argv=None):

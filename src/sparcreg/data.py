@@ -52,6 +52,14 @@ class DataError(ValueError):
     """A dataset file or schema violated its contract."""
 
 
+def _as_design(A):
+    """A as a float array; ValueError unless it is 2-D."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be 2-D, got shape {A.shape}")
+    return A
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix with response, task tag, and optional extras.
@@ -79,10 +87,8 @@ class Dataset:
     feature_names: tuple | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _as_design(self.A)
         y = np.asarray(self.y, dtype=float)
-        if A.ndim != 2:
-            raise ValueError(f"A must be 2-D, got shape {A.shape}")
         if y.shape != (A.shape[0],):
             raise ValueError(
                 f"y has shape {y.shape}, expected ({A.shape[0]},)"
@@ -143,8 +149,8 @@ class Dataset:
         otherwise they are copies.  Either way they hold the bytes of
         ``A[mask]`` and ``y[mask]``.
         """
-        m = self.mask(name)
-        return _select_rows(self.A, m), _select_rows(self.y, m)
+        rows = _row_index(self.mask(name), self.n)
+        return _select_rows(self.A, rows), _select_rows(self.y, rows)
 
 
 class _BlockDesign:
@@ -603,22 +609,20 @@ def _column_name(names, j):
     return names[j] if names is not None else str(j)
 
 
-def _select_rows(M, rows):
-    """``M[rows]`` for a boolean mask or an index array, read-only.
-
-    A mask whose rows form one block of a C-contiguous M gives a
-    basic-slice view, which copies nothing; any other selection is the
-    copy that mask or index selection makes.  Both are C-contiguous and
-    hold the same bytes.
-    """
+def _row_index(rows, n):
+    """An index of the rows a boolean mask over n rows or an index array
+    selects: a slice where the mask's rows form one block."""
     rows = np.asarray(rows)
-    out = None
-    if rows.dtype == bool and rows.shape == M.shape[:1]:
-        idx = np.flatnonzero(rows)
-        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-            out = M[idx[0]:idx[-1] + 1]
-    if out is None or not out.flags.c_contiguous:
-        out = M[rows]
+    if rows.dtype == bool and rows.shape == (n,):
+        rows = np.flatnonzero(rows)
+        if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+            return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _select_rows(M, rows):
+    """``M[rows]`` for a ``_row_index`` index, read-only and C-contiguous."""
+    out = np.ascontiguousarray(M[rows])
     out.flags.writeable = False
     return out
 
@@ -646,7 +650,8 @@ def _column_norms(T):
 def _train_scales(A, train_rows, feature_names):
     """Column norms of A on the training rows; raises unless all are
     finite and nonzero."""
-    T = A if train_rows is None else _select_rows(A, train_rows)
+    T = (A if train_rows is None
+         else _select_rows(A, _row_index(train_rows, A.shape[0])))
     if T.shape[0] == 0:
         raise ValueError("no training rows to compute norms from")
     scales = _column_norms(T)
@@ -671,9 +676,7 @@ def normalize_columns(A, train_rows=None, feature_names=None):
     without overflow or underflow; a column that is zero on the training
     rows, or whose norm exceeds the float range, raises ValueError.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"A must be 2-D, got shape {A.shape}")
+    A = _as_design(A)
     scales = _train_scales(A, train_rows, feature_names)
     return A / scales, scales
 
@@ -685,9 +688,7 @@ def standardize_columns(A, train_rows=None, feature_names=None):
     columns; the fitted model has no intercept, so use this mode only for
     sensitivity checks against the default norm scaling.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"A must be 2-D, got shape {A.shape}")
+    A = _as_design(A)
     T = A if train_rows is None else A[train_rows]
     if T.shape[0] == 0:
         raise ValueError("no training rows to compute statistics from")

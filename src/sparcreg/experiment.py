@@ -86,9 +86,23 @@ class GridSpec:
             object.__setattr__(self, name, grid)
 
     def grid_for(self, method):
-        if method not in METHOD_NAMES:
-            raise ValueError(f"unknown method {method!r}")
+        _check_methods((method,))
         return getattr(self, method)
+
+
+def _check_methods(methods):
+    """The methods as a tuple; ValueError for an empty list, an unknown
+    method or a method named twice."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("no methods given")
+    for i, m in enumerate(methods):
+        if m not in METHOD_NAMES:
+            raise ValueError(f"unknown method {m!r}; choose from "
+                             f"{', '.join(METHOD_NAMES)}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} given twice")
+    return methods
 
 
 def _axes(p, lam_grid=None, k_grid=None):
@@ -188,31 +202,15 @@ def _reg_to_dict(reg):
     return {"type": reg.method, **asdict(reg)}
 
 
-def _source_config(source):
-    if isinstance(source, SyntheticSpec):
-        return {"kind": "synthetic-regression", **asdict(source)}
-    if isinstance(source, ClassificationSpec):
-        return {"kind": "synthetic-classification", **asdict(source)}
-    return {"kind": "dataset", "n": int(source.n), "p": int(source.p),
-            "task": source.task}
+# each source type, its kind in the config echo and its generator, run at
+# each repetition's seed; None for a Dataset, re-split at each repetition
+_SOURCES = ((SyntheticSpec, "synthetic-regression", generate_synthetic),
+            (ClassificationSpec, "synthetic-classification",
+             generate_grouped_classification),
+            (Dataset, "dataset", None))
 
 
-def _materialize(source, seed, fractions, normalization):
-    """One repetition's dataset: regenerate synthetic data or re-split."""
-    if isinstance(source, SyntheticSpec):
-        return generate_synthetic(replace(source, seed=seed))
-    if isinstance(source, ClassificationSpec):
-        return generate_grouped_classification(replace(source, seed=seed))
-    if isinstance(source, Dataset):
-        ds = split_dataset(source, fractions, seed)
-        ds, _ = normalize_dataset(ds, normalization)
-        return ds
-    raise TypeError(f"unsupported source {type(source).__name__}")
-
-
-def _one_repetition(source, grids, cfg, methods, fractions, normalization,
-                    average, seed, keep_estimates):
-    ds = _materialize(source, seed, fractions, normalization)
+def _one_repetition(ds, grids, cfg, methods, average, keep_estimates):
     cells = {}
     for method in methods:
         try:
@@ -232,10 +230,8 @@ def _one_repetition(source, grids, cfg, methods, fractions, normalization,
                 "estimate": None,
                 "error": f"{type(exc).__name__}: {exc}",
             }
-    truth = None
-    if keep_estimates:
-        truth = ([float(v) for v in ds.x_true]
-                 if ds.x_true is not None else None)
+    truth = ([float(v) for v in ds.x_true]
+             if keep_estimates and ds.x_true is not None else None)
     return {"cells": cells, "truth": truth, "p": int(ds.p), "task": ds.task}
 
 
@@ -282,16 +278,25 @@ def run_repetitions(source, grids, config=None, repetitions=50,
     visible in the report.
     """
     repetitions = _check_count(repetitions, "repetitions")
-    methods = tuple(methods)
+    methods = _check_methods(methods)
     for m in methods:
         if not grids.grid_for(m):
             raise ValueError(f"empty grid for method {m!r}")
     cfg = config if config is not None else SolverConfig()
+    kind, generate = next(((kind, generate) for cls, kind, generate in
+                           _SOURCES if isinstance(source, cls)), (None, None))
+    if kind is None:
+        raise TypeError(f"unsupported source {type(source).__name__}")
+
+    def materialize(seed):
+        if generate is not None:
+            return generate(replace(source, seed=seed))
+        ds = split_dataset(source, fractions, seed)
+        return normalize_dataset(ds, normalization)[0]
 
     reps = [
-        _one_repetition(source, grids, cfg, methods, fractions,
-                        normalization, average, master_seed + r,
-                        keep_estimates=(r == 0))
+        _one_repetition(materialize(master_seed + r), grids, cfg, methods,
+                        average, keep_estimates=(r == 0))
         for r in range(repetitions)
     ]
 
@@ -326,11 +331,11 @@ def run_repetitions(source, grids, config=None, repetitions=50,
         "solver": asdict(cfg),
         "grids": {m: [_reg_to_dict(r) for r in grids.grid_for(m)]
                   for m in methods},
-        "source": _source_config(source),
-        "fractions": (list(float(v) for v in fractions)
-                      if isinstance(source, Dataset) else None),
-        "normalization": (normalization
-                          if isinstance(source, Dataset) else "l2"),
+        "source": ({"kind": kind, **asdict(source)} if generate else
+                   {"kind": kind, "n": int(source.n), "p": int(source.p),
+                    "task": source.task}),
+        "fractions": None if generate else [float(v) for v in fractions],
+        "normalization": "l2" if generate else normalization,
         "average": bool(average),
     }
     return BenchmarkReport(

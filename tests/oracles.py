@@ -177,10 +177,14 @@ def prox_exact(kind, params, v):
     return float(vals[best]), Z[best]
 
 
+# supports per batched solve in sparc_global_bruteforce
+_SUPPORT_CHUNK = 64
+
+
 def sparc_global_bruteforce(A, y, lam, k):
     """The least value of 0.5 ||A x - y||^2 + sparc_penalty_direct(x, lam, k)
-    over all x, and an x attaining it, by enumerating faces; for p <= 10 and
-    k <= 3 only, and for an A whose every k columns are independent.
+    over all x, and an x attaining it, by enumerating faces; for p <= 12 and
+    k <= 4 only, and for an A whose every k columns are independent.
 
     A face is a support T of size s <= k, a sign pattern and an ordered
     partition of T into equal-magnitude groups: a face of ``_faces(s)``
@@ -189,12 +193,14 @@ def sparc_global_bruteforce(A, y, lam, k):
     quadratic 0.5 ||B c - y||^2 + W . c.  The minimizer lies inside its
     own face, so it solves (B^T B) c = B^T y - W there.  The faces where c
     is positive and strictly decreasing hold their points; the least
-    literal objective over those points and x = 0 is the optimum.
+    literal objective over those points and x = 0 is the optimum.  The
+    supports go through the batched solve ``_SUPPORT_CHUNK`` at a time,
+    which holds its largest array, B, to 20 MB at n = 8, p = 12, k = 4.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     p = A.shape[1]
-    if p > 10 or k > 3:
+    if p > 12 or k > 4:
         raise ValueError(f"p = {p}, k = {k}: enumeration too large")
     best_f, best_x = 0.5 * float(y @ y), np.zeros(p)
     for s in range(1, min(k, p) + 1):
@@ -203,24 +209,26 @@ def sparc_global_bruteforce(A, y, lam, k):
         S, R = S[full], R[full]                       # (faces, groups, s)
         present = np.abs(S).sum(axis=2) > 0           # (faces, groups)
         W = R @ (lam * (k - 1 - np.arange(s)))
-        T = np.array(list(itertools.combinations(range(p), s)))
-        # B[t, f] = A[:, T[t]] S[f]^T, shape (supports, faces, n, groups)
-        B = A[:, T].transpose(1, 0, 2)[:, None] @ S.transpose(0, 2, 1)
-        G = B.transpose(0, 1, 3, 2) @ B
-        # an absent group has a zero column in B; pin its c to 0
-        G += np.eye(s) * ~present[:, :, None]
-        rhs = np.einsum("tfng,n->tfg", B, y) - W
-        c = np.linalg.solve(G, rhs[..., None])[..., 0]
-        nxt = np.concatenate([c[..., 1:], np.zeros(c.shape[:2] + (1,))],
-                             axis=2)
-        kept = np.all(~present | ((c > 0) & (c > nxt)), axis=2)
-        for t, f in zip(*np.nonzero(kept)):
-            x = np.zeros(p)
-            x[T[t]] = c[t, f] @ S[f]
-            r = A @ x - y
-            value = 0.5 * float(r @ r) + sparc_penalty_direct(x, lam, k)
-            if value < best_f:
-                best_f, best_x = value, x
+        supports = np.array(list(itertools.combinations(range(p), s)))
+        for i in range(0, len(supports), _SUPPORT_CHUNK):
+            T = supports[i:i + _SUPPORT_CHUNK]
+            # B[t, f] = A[:, T[t]] S[f]^T, shape (supports, faces, n, groups)
+            B = A[:, T].transpose(1, 0, 2)[:, None] @ S.transpose(0, 2, 1)
+            G = B.transpose(0, 1, 3, 2) @ B
+            # an absent group has a zero column in B; pin its c to 0
+            G += np.eye(s) * ~present[:, :, None]
+            rhs = np.einsum("tfng,n->tfg", B, y) - W
+            c = np.linalg.solve(G, rhs[..., None])[..., 0]
+            nxt = np.concatenate([c[..., 1:], np.zeros(c.shape[:2] + (1,))],
+                                 axis=2)
+            kept = np.all(~present | ((c > 0) & (c > nxt)), axis=2)
+            for t, f in zip(*np.nonzero(kept)):
+                x = np.zeros(p)
+                x[T[t]] = c[t, f] @ S[f]
+                r = A @ x - y
+                value = 0.5 * float(r @ r) + sparc_penalty_direct(x, lam, k)
+                if value < best_f:
+                    best_f, best_x = value, x
     return best_f, best_x
 
 

@@ -166,6 +166,14 @@ class TestSynth:
         assert code == 2
         assert "ridge" in err
 
+    def test_repeated_method_rejected(self, capsys, tmp_path):
+        code, out, err = run(capsys, "synth", "--reps", "1",
+                             "--methods", "lasso,lasso", "--lambda-grid", "1",
+                             "--outdir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: method 'lasso' given twice\n"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_bad_reps(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth", "--reps", "0",
                          "--outdir", str(tmp_path))
@@ -596,6 +604,19 @@ class TestConfigFile:
                            "--config", str(cfg))
         assert code == 2
         assert "line 1" in err
+
+    def test_repeated_config_rejected(self, capsys, tmp_path):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("seed=3\n")
+        b.write_text("seed=5\n")
+        for given in (["--config", str(a), "--config", str(b)],
+                      ["--config=" + str(a), "--config", str(b)]):
+            code, out, err = run(capsys, "synth", "--reps", "1",
+                                 "--methods", "lasso", "--lambda-grid", "1",
+                                 "--outdir", str(tmp_path), *given)
+            assert (code, out) == (2, "")
+            assert err == "error: --config given more than once\n"
+        assert not (tmp_path / "report.csv").exists()
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "prox", "--lasso", "--vec", "1",

@@ -235,6 +235,14 @@ class TestRunRepetitions:
         with pytest.raises(ValueError):
             run_repetitions(_tiny_spec(), GridSpec(), methods=("lasso",))
 
+    @pytest.mark.parametrize("methods, message", [
+        (("lasso", "sparc", "lasso"), "method 'lasso' given twice"),
+        ((), "no methods given"),
+    ], ids=["repeated", "empty"])
+    def test_method_list_checked(self, methods, message):
+        with pytest.raises(ValueError, match=message):
+            run_repetitions(_tiny_spec(), _tiny_grids(), methods=methods)
+
 
 @pytest.fixture(scope="module")
 def report():

@@ -252,6 +252,50 @@ class TestTermination:
         assert res.termination == "line-search-cap"
         assert np.all(np.diff(res.trace) <= 0)
 
+    @staticmethod
+    def _residual(obj, x, alpha):
+        """alpha ||x+ - x|| of the candidate from x at alpha."""
+        step = prox(obj.reg, x - gradient_smooth(obj, x) / alpha, alpha)
+        return alpha * np.linalg.norm(step - x)
+
+    def test_fixed_point_residual_at_a_tolerance_stop(self):
+        rng = np.random.default_rng(40)
+        A, y = _random_problem(rng, 20, 10)
+        obj = Objective(A, y, Lasso(0.3))
+        res = sparsa_solve(obj)
+        assert res.termination == "tolerance" and res.iterations > 2
+        # the accepted step into res.x, from the iterate before it
+        prev = sparsa_solve(obj, config=SolverConfig(
+            max_outer=res.iterations - 1))
+        assert res.fixed_point_residual == pytest.approx(
+            self._residual(obj, prev.x, res.alpha_final), rel=1e-12)
+        assert res.fixed_point_residual > 0
+
+    def test_fixed_point_residual_after_a_step_that_moved_nowhere(self):
+        # x0 is the solution: the first step comes back to it exactly
+        obj = Objective(np.eye(2), np.array([1.0, 2.0]), Lasso(0.5))
+        res = sparsa_solve(obj, x0=np.array([0.5, 1.5]))
+        assert (res.termination, res.iterations) == ("tolerance", 1)
+        assert res.fixed_point_residual == 0.0
+
+    def test_fixed_point_residual_at_a_line_search_cap(self):
+        # one try per iteration on badly scaled columns; the last candidate
+        # was tried from the returned x at alpha_final / eta, where the
+        # soft threshold zeroes a coordinate that it keeps at alpha_final
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(6, 3)) * np.array([1.0, 5.0, 20.0])
+        y = 5.0 * rng.normal(size=6)
+        obj = Objective(A, y, Lasso(1.0))
+        cfg = SolverConfig(max_inner=1, max_outer=20)
+        with pytest.warns(RuntimeWarning):
+            res = sparsa_solve(obj, config=cfg)
+        assert res.termination == "line-search-cap"
+        alpha = res.alpha_final / cfg.eta
+        assert res.fixed_point_residual == pytest.approx(
+            self._residual(obj, res.x, alpha), rel=1e-12)
+        assert res.fixed_point_residual != pytest.approx(
+            self._residual(obj, res.x, res.alpha_final), rel=1e-3)
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: the first step is taken at alpha_min without the "
         "sufficient-decrease test; sending it through the test changes "
@@ -286,17 +330,20 @@ class TestTermination:
 
 
 class TestSparcGlobalOptimum:
-    def test_no_fit_below_the_global_optimum(self):
-        # warm-started chains over a (lam, k) grid, as grid_search runs
-        # them; each fit is priced by the literal objective
-        grid = [(lam, k) for lam in (1.0, 0.1, 0.01) for k in (3, 2, 1)]
+    @staticmethod
+    def _gaps(seeds, p, ks):
+        """Relative gaps to the global optimum of warm-started chains over
+        a (lam, k) grid, as grid_search runs them, on n = 8 designs with
+        ks[0] planted nonzeros; each fit is priced by the literal
+        objective."""
+        grid = [(lam, k) for lam in (1.0, 0.1, 0.01) for k in ks]
         gaps = []
-        for seed in range(20):
+        for seed in seeds:
             rng = np.random.default_rng(seed)
-            A = rng.normal(size=(8, 10))
-            x_true = np.zeros(10)
-            x_true[rng.choice(10, 3, replace=False)] = \
-                2.0 * rng.choice((-1.0, 1.0), 3)
+            A = rng.normal(size=(8, p))
+            x_true = np.zeros(p)
+            x_true[rng.choice(p, ks[0], replace=False)] = \
+                2.0 * rng.choice((-1.0, 1.0), ks[0])
             y = A @ x_true + 0.5 * rng.normal(size=8)
             x = None
             for lam, k in grid:
@@ -305,12 +352,20 @@ class TestSparcGlobalOptimum:
                 f_fit = 0.5 * float(r @ r) + sparc_penalty_direct(x, lam, k)
                 f_opt, _ = sparc_global_bruteforce(A, y, lam, k)
                 gaps.append((f_fit - f_opt) / abs(f_opt))
-        gaps = np.array(gaps)
+        return np.array(gaps)
+
+    def test_no_fit_below_the_global_optimum(self):
+        gaps = self._gaps(range(20), 10, (3, 2, 1))
         assert gaps.min() >= -1e-9
         # a floor on how often the solver reaches the global optimum: 73
         # of the 180 fits lie within 7e-6 of it and the next at 7e-3, so
         # a change of path that loses one of them fails here
         assert np.count_nonzero(gaps <= 1e-3) >= 73
+
+    def test_no_fit_below_the_global_optimum_at_p_12_k_4(self):
+        # the oracle's largest case: ~0.6 s per k = 4 enumeration
+        gaps = self._gaps(range(2), 12, (4, 3, 2, 1))
+        assert gaps.min() >= -1e-9
 
 
 class TestSupportProducts:

@@ -345,13 +345,17 @@ def cmd_describe(args):
 # ---------------------------------------------------------------- main
 
 def build_parser():
+    # no prefix matching on any parser: "--conf" must not pass for
+    # "--config", which _expand_config reads only under its full name
     parser = argparse.ArgumentParser(
         prog="sparcreg",
         description="Sparse and clustered penalized least squares.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prox", help="apply a proximity operator")
+    p = sub.add_parser("prox", help="apply a proximity operator",
+                       allow_abbrev=False)
     which = p.add_mutually_exclusive_group(required=True)
     for name in METHOD_NAMES:
         which.add_argument(f"--{name}", action="store_true")
@@ -362,7 +366,8 @@ def build_parser():
     _add_common_flags(p)
     p.set_defaults(func=cmd_prox)
 
-    p = sub.add_parser("synth", help="synthetic regression benchmark")
+    p = sub.add_parser("synth", help="synthetic regression benchmark",
+                       allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--methods", default=",".join(METHOD_NAMES))
@@ -375,7 +380,8 @@ def build_parser():
     _add_common_flags(p)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fit", help="fit one CSV dataset")
+    p = sub.add_parser("fit", help="fit one CSV dataset",
+                       allow_abbrev=False)
     p.add_argument("csv")
     p.add_argument("--label", required=True)
     p.add_argument("--task", required=True,
@@ -396,7 +402,8 @@ def build_parser():
     _add_common_flags(p)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("describe", help="summarize a CSV dataset")
+    p = sub.add_parser("describe", help="summarize a CSV dataset",
+                       allow_abbrev=False)
     p.add_argument("csv")
     _add_common_flags(p)
     p.set_defaults(func=cmd_describe)

@@ -10,11 +10,10 @@ All randomness flows through ``numpy.random.default_rng(seed)``; every
 function here is a pure function of its inputs and the seed.
 
 ``load_csv`` (and the CLI's ``describe``) read a CSV in ``_load_table``:
-the ``csv`` module reads the header, numpy's C reader the body.  Where
-that reader refuses the text or cannot decide alone (quotes, odd cells,
-ragged rows, non-finite values, a third class), the body is read again
-by the exact ``csv``-module parser, which names the line and cell of an
-error or reads what only it accepts.
+the ``csv`` module reads the header, numpy's C reader the body, quoted
+or not.  Only where that reader refuses the body (an odd cell, a ragged
+row, a non-finite value, a third class) does the ``csv`` module read it
+again, to name the line and cell of the error.
 """
 
 from __future__ import annotations
@@ -300,13 +299,24 @@ def generate_grouped_classification(spec=None):
     return Dataset(A, y, "classification", x_true, split, names)
 
 
+def _number(text):
+    """``float`` of a cell's ``str.strip()``-ped text, by the grammar of
+    numpy's C reader: ValueError unless that text is ASCII and holds no
+    ``_``, which Python's ``float`` alone allows (``1_0``, non-ASCII
+    digits)."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert {text!r} to float")
+    return float(text)
+
+
 def _parse_cell(tok, line_no, col_name):
     try:
-        return float(tok)
+        return _number(tok)
     except ValueError:
         raise DataError(
             f"line {line_no}, column {col_name!r}: "
-            f"could not parse {tok!r} as a number"
+            f"could not parse {tok.strip()!r} as a number"
         ) from None
 
 
@@ -328,59 +338,34 @@ def _read_header(reader, path):
 
 
 def _read_table(reader):
-    """The remaining non-blank rows of a ``csv.reader`` and their lines.
+    """The remaining non-blank rows of a ``csv.reader``, each with its
+    physical (1-based) line in the file, which counts blank lines."""
+    return [(row, reader.line_num) for row in reader if row]
 
-    Line numbers are physical (1-based) lines of the file, so they stay
-    right after blank lines.
+
+def _locate_fault(path, why, reader, header, label_idx, split_idx,
+                  classify):
+    """Raise the DataError that names the first fault of a body numpy's
+    reader refused for reason ``why``; the rest of ``reader`` is the body.
+
+    Faults rank as follows: a ragged row, an unparsable feature cell or
+    a bad split label, in line order; then an unparsable label; then the
+    first non-finite cell, by line and then by column; then (with
+    ``classify``) the line of a third class.  A body with none of them
+    raises with the file's name and ``why``.
     """
-    rows, line_nos = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            line_nos.append(reader.line_num)
-    return rows, line_nos
-
-
-def _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y):
-    """Raise DataError at the first non-finite cell of a parsed CSV table.
-
-    ``A[i, c]`` was parsed from ``rows[i][feat_idx[c]]`` and ``y[i]`` from
-    ``rows[i][label_idx]``; ``line_nos`` holds each row's line in the
-    file.  The cell is located only on failure, so a valid table costs
-    one vectorised test.
-    """
-    if np.isfinite(A).all() and np.isfinite(y).all():
-        return
-    bad = ~np.isfinite(np.column_stack((A, y)))
-    columns = feat_idx + [label_idx]
-    i = int(np.flatnonzero(bad.any(axis=1))[0])
-    j = min(columns[c] for c in np.flatnonzero(bad[i]))
-    raise DataError(
-        f"line {line_nos[i]}, column {header[j]!r}: "
-        f"non-finite value {rows[i][j].strip()!r}"
-    )
-
-
-def _parse_table(path, header, rows, line_nos, feat_idx, label_idx,
-                 split_idx):
-    """Parse the body rows of a ``_read_table`` table into numbers.
-
-    Returns (A, y, stripped label texts, split labels or None); every
-    error names its line and cell.
-    """
-    if not rows:
+    lines = _read_table(reader)
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    A_rows, labels = [], []
-    split = [] if split_idx is not None else None
-    for row, line_no in zip(rows, line_nos):
+    for row, line_no in lines:
         if len(row) != len(header):
             raise DataError(
                 f"line {line_no}: expected {len(header)} fields, "
                 f"found {len(row)}"
             )
-        A_rows.append([_parse_cell(row[j].strip(), line_no, header[j])
-                       for j in feat_idx])
-        labels.append(row[label_idx].strip())
+        for j in range(len(header)):
+            if j not in (label_idx, split_idx):
+                _parse_cell(row[j], line_no, header[j])
         if split_idx is not None:
             s = row[split_idx].strip()
             if s not in SPLIT_NAMES:
@@ -388,59 +373,69 @@ def _parse_table(path, header, rows, line_nos, feat_idx, label_idx,
                     f"line {line_no}: split label must be one of "
                     f"{SPLIT_NAMES}, got {s!r}"
                 )
-            split.append(s)
+    y = [_parse_cell(row[label_idx], line_no, header[label_idx])
+         for row, line_no in lines]
+    for row, line_no in lines:
+        for j, tok in enumerate(row):
+            if j != split_idx and not np.isfinite(_number(tok)):
+                raise DataError(
+                    f"line {line_no}, column {header[j]!r}: "
+                    f"non-finite value {tok.strip()!r}"
+                )
+    classes = {}
+    for (row, line_no), v in zip(lines, y):
+        if classify and v not in classes:
+            if len(classes) == 2:
+                raise DataError(
+                    f"line {line_no}: more than two classes for "
+                    f"classification (had {sorted(classes.values())}, "
+                    f"then {row[label_idx].strip()!r})"
+                )
+            classes[v] = row[label_idx].strip()
+    raise DataError(f"{path}: {why}")
 
-    A = np.asarray(A_rows)
-    y = np.asarray([_parse_cell(tok, ln, header[label_idx])
-                    for tok, ln in zip(labels, line_nos)])
-    _check_finite_cells(rows, line_nos, header, feat_idx, label_idx, A, y)
-    return A, y, labels, split
 
-
-def _read_body(path, skip, header, feat_idx, label_idx, split_idx,
+def _read_body(path, skip, width, feat_idx, label_idx, split_idx,
                classify):
-    """The body after line ``skip`` through numpy's C reader, or None.
+    """(A, y, stripped label texts, split labels or None) of the body
+    after line ``skip``, read by numpy's C reader.
 
-    None means the exact path must decide: the C reader refused the text
-    (a quote, an empty or odd cell, a ragged row), or it read no rows, a
-    row width other than the header's, a non-finite value, or (with
-    ``classify``) a third label value, whose error needs a line number.
-    Cells it accepts parse to the same doubles as ``float``.
+    Raises ValueError where that reader refuses the text, or where it
+    reads no rows, rows of other than ``width`` fields, a non-finite
+    value or (with ``classify``) a third label value.  Cells it reads
+    parse to the same doubles as ``_number``.
     """
     labels, split = [], []
 
     def label(text):
         labels.append(text.strip())
-        return float(text)
+        return _number(text)
 
     def split_label(text):
         text = text.strip()
         if text not in SPLIT_NAMES:
-            raise ValueError(text)
+            raise ValueError(f"unknown split label {text!r}")
         split.append(text)
         return 0.0
 
     converters = {label_idx: label}
     if split_idx is not None:
         converters[split_idx] = split_label
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            with warnings.catch_warnings():
-                # a header-only file is an error the exact path names
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                M = np.loadtxt(fh, delimiter=",", comments=None,
-                               quotechar=None, skiprows=skip, ndmin=2,
-                               converters=converters)
-    except ValueError:
-        return None
-    if M.shape[1] != len(header) or not M.size or not np.isfinite(M).all():
-        return None
+    with open(path, encoding="utf-8-sig") as fh, warnings.catch_warnings():
+        # a header-only file is an error the locator names
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        M = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                       skiprows=skip, ndmin=2, converters=converters)
+    if not M.size or M.shape[1] != width:
+        raise ValueError(f"read {M.shape[0]} rows of {M.shape[1]} fields")
+    if not np.isfinite(M).all():
+        raise ValueError("read a non-finite value")
     y = M[:, label_idx].copy()
     if classify and np.unique(y).size > 2:
-        return None
-    # take copies into a C-contiguous A, as the exact path's is; M[:, idx]
-    # would be column-major, and Dataset.part copies rows of that
+        raise ValueError("read more than two classes")
+    # take copies into a C-contiguous A; M[:, idx] would be column-major,
+    # and Dataset.part copies rows of that
     A = np.take(M, feat_idx, axis=1)
     return A, y, labels, split if split_idx is not None else None
 
@@ -451,9 +446,9 @@ def _load_table(path, label_column, split_column, classify=False):
     ``label_column`` None takes the column named ``label``, else the last
     column that is not ``split_column``.  With ``classify``, y maps two
     label values to -1 and +1 (the one whose first-seen text sorts first
-    to -1).  The body goes through numpy's C reader; the csv-module parser
-    reads it only where that reader returns None, or to name the line of
-    a third class, so every error names its physical line and cell.
+    to -1).  numpy's C reader reads the body; where it refuses it, the
+    csv-module reader reads it again only to name the faulty line and
+    cell.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -480,33 +475,22 @@ def _load_table(path, label_column, split_column, classify=False):
         ]
         if not feat_idx:
             raise DataError("no feature columns left after label/split")
-        body = _read_body(path, reader.line_num, header, feat_idx,
-                          label_idx, split_idx, classify)
-        line_nos = None
-        if body is None:
-            rows, line_nos = _read_table(reader)
-            body = _parse_table(path, header, rows, line_nos, feat_idx,
-                                label_idx, split_idx)
-    A, y, labels, split = body
+        try:
+            A, y, labels, split = _read_body(
+                path, reader.line_num, len(header), feat_idx, label_idx,
+                split_idx, classify)
+        except ValueError as exc:
+            _locate_fault(path, exc, reader, header, label_idx, split_idx,
+                          classify)
     if classify:
-        # key classes by numeric value; remember first-seen text.  A third
-        # class sent the body through the exact path, which sets line_nos
-        classes = {}
-        for i, (tok, v) in enumerate(zip(labels, y.tolist())):
-            if v not in classes:
-                if len(classes) == 2:
-                    raise DataError(
-                        f"line {line_nos[i]}: more than two classes for "
-                        f"classification (had {sorted(classes.values())}, "
-                        f"then {tok!r})"
-                    )
-                classes[v] = tok
-        if len(classes) < 2:
+        values, first = np.unique(y, return_index=True)
+        if values.size < 2:
             raise DataError(
                 "classification needs exactly two distinct label values, "
-                f"found {len(classes)}"
+                f"found {values.size}"
             )
-        lo, hi = sorted(classes, key=classes.get)
+        # the value whose first-seen text sorts first maps to -1
+        lo = values[int(labels[first[1]] < labels[first[0]])]
         y = np.where(y == lo, -1.0, 1.0)
     return (header[label_idx], tuple(header[j] for j in feat_idx), A, y,
             split)

@@ -436,13 +436,18 @@ def write_csv_rowwise(ds, path, label_column="label", split_column="split"):
 
 
 def _parse_cell(tok, line_no, col_name):
+    """``float(tok)`` of a stripped cell, if it is ASCII and holds no ``_``:
+    numpy's reader refuses the ``1_0`` and non-ASCII digits ``float``
+    takes."""
     try:
-        return float(tok)
+        if tok.isascii() and "_" not in tok:
+            return float(tok)
     except ValueError:
-        raise DataError(
-            f"line {line_no}, column {col_name!r}: "
-            f"could not parse {tok!r} as a number"
-        ) from None
+        pass
+    raise DataError(
+        f"line {line_no}, column {col_name!r}: "
+        f"could not parse {tok!r} as a number"
+    )
 
 
 def load_csv_percell(path, label_column, task, split_column="split"):

@@ -21,6 +21,7 @@ The two benchmark fixtures dominate the runtime (about two minutes).
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ def test_invariant_reruns_are_byte_identical(tmp_path):
         report = run_repetitions(spec, grids, repetitions=2, master_seed=3,
                                  methods=("lasso", "sparc"))
         outs.append(emit_table(report, tmp_path / sub))
-    same = all(open(p1, "rb").read() == open(p2, "rb").read()
+    same = all(Path(p1).read_bytes() == Path(p2).read_bytes()
                for p1, p2 in zip(*outs))
     _line("rerun-determinism", same,
           "report.csv, report.json, profile.csv byte-identical "

@@ -618,6 +618,17 @@ class TestConfigFile:
             assert err == "error: --config given more than once\n"
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--conf", "--confi"])
+    def test_option_prefix_rejected(self, capsys, tmp_path, flag):
+        # a prefix of --config used to parse as --config, and the file
+        # was never read
+        cfg = tmp_path / "prox.cfg"
+        cfg.write_text("lambda1=1\n")
+        code, out, err = run(capsys, "prox", "--lasso", "--vec", "3 0",
+                             flag, str(cfg))
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} " in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "prox", "--lasso", "--vec", "1",
                          "--config", str(tmp_path / "nope.cfg"))

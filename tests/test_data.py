@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 import warnings
 
@@ -26,6 +28,7 @@ from sparcreg.data import (
 from sparcreg.experiment import grid_search
 from sparcreg.regularizers import Lasso
 from sparcreg.solver import Objective, sparsa_solve
+import oracles
 from oracles import generate_hstack, load_csv_percell, write_csv_rowwise
 
 
@@ -376,6 +379,28 @@ class TestLoadCsvContract:
             load_csv(path, "label", "regression")
         assert str(exc.value).startswith(message)
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661"],
+                             ids=["underscore", "arabic-indic-digit"])
+    def test_cell_only_float_reads_is_refused(self, tmp_path, cell):
+        # Python's float takes these; numpy's reader and load_csv do not
+        path = self._write(tmp_path, f"a,label\n{cell},2\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label", "regression")
+        assert str(exc.value) == (
+            f"line 2, column 'a': could not parse {cell!r} as a number")
+
+    def test_no_fault_found_names_file_and_reason(self, tmp_path,
+                                                  monkeypatch):
+        path = self._write(tmp_path, "a,label\n1,2\n3,4\n")
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused by the reader")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label", "regression")
+        assert str(exc.value) == f"{path}: refused by the reader"
+
     def test_bad_split_label_reports_line(self, tmp_path):
         path = self._write(tmp_path,
                            "a,label,split\n1,2,train\n3,4,dev\n")
@@ -446,7 +471,7 @@ def _random_dataset(rng, split, names):
 
 def _random_cell(rng):
     v = float(rng.standard_normal() * 10.0 ** rng.integers(-5, 5))
-    text = str(rng.choice([repr(v), f"{v:.3g}", f"{v:e}", "1_0", "+.5e-3",
+    text = str(rng.choice([repr(v), f"{v:.3g}", f"{v:e}", "+.5e-3",
                            "-0", "7", "12", "1e300", "5e-324"]))
     pad = ["", "", " ", "\t", "\xa0", "\x1c"]
     return str(rng.choice(pad)) + text + str(rng.choice(pad))
@@ -559,8 +584,9 @@ class TestCsvMatchesOracles:
             "two-line-header", "header-and-blank-lines", "underscore",
             "arabic-indic-digit", "overflow", "nbsp", "three-classes"])
     def test_load_csv_fallback_rules(self, tmp_path, text, task):
-        """Inputs numpy's reader refuses or must not decide alone read as
-        the per-cell oracle reads them, warning-free."""
+        """Inputs at the edges of numpy's reader (odd line ends, quotes,
+        blank or ragged lines, padding, odd cells) read or fail as the
+        per-cell oracle reads them, warning-free."""
         path = tmp_path / "d.csv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
@@ -577,6 +603,38 @@ class TestCsvMatchesOracles:
         if old.split is not None:
             assert new.split.tolist() == old.split.tolist()
         assert new.feature_names == old.feature_names
+
+
+_GRAMMAR_CELLS = [
+    "1", " 1 ", "\t1", "\f1", "\v1", "\xa01\xa0", "\x1c1\x1f", "\u30001",
+    "1\x85", "1_0", "_1", "\u0661", "\uff11", "1\u200b", "\ufeff1",
+    "+.5e-3", "-0", "1.", ".", "1e", "e1", "1e400", "5e-324", "0x10",
+    "0b1", "1d3", "1j", "nAn", "+nan", "nan(1)", "Infinity", "-iNf", "in f",
+    "1 2", "--1", "", " ", "\x001",
+]
+
+
+@pytest.mark.parametrize("cell", _GRAMMAR_CELLS)
+def test_cell_grammar_is_numpys(cell):
+    """numpy's reader takes a cell exactly when the fault locator and the
+    per-cell oracle do, and reads the same double."""
+    try:
+        M = np.loadtxt(io.StringIO(cell + ",2\n"), delimiter=",",
+                       comments=None, quotechar='"', ndmin=2)
+    except ValueError:
+        M = None
+    try:
+        v = data._parse_cell(cell, 2, "a")
+    except DataError:
+        v = None
+    try:
+        w = oracles._parse_cell(cell.strip(), 2, "a")
+    except DataError:
+        w = None
+    assert (M is None) == (v is None) == (w is None)
+    if M is not None:
+        assert M[0, 0].tobytes() == np.float64(v).tobytes()
+        assert np.float64(w).tobytes() == np.float64(v).tobytes()
 
 
 def _refuse(*args):
@@ -605,6 +663,34 @@ class TestCsvFastPath:
             assert back.split.tolist() == ds.split.tolist()
         assert main(["describe", str(path)]) == 0
         assert capsys.readouterr().out.startswith(f"n={ds.n} p={ds.p}\n")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_quoted_file(self, tmp_path, monkeypatch, capsys, seed):
+        """A ``csv.QUOTE_ALL`` copy of a ``write_csv`` file, its header
+        spanning two lines, reads as the file itself."""
+        ds = _random_dataset(np.random.default_rng(seed), split=seed != 1,
+                             names=["a,b", 'q"x', "c\nd"])
+        path, quoted = tmp_path / "d.csv", tmp_path / "q.csv"
+        write_csv(ds, path)
+        with open(path, newline="", encoding="utf-8") as src, \
+                open(quoted, "w", newline="", encoding="utf-8") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL,
+                       lineterminator="\n").writerows(csv.reader(src))
+        assert quoted.read_text().startswith('"a,b","q""x","c\nd",')
+        monkeypatch.setattr(data, "_read_table", _refuse)
+        back = load_csv(quoted, "label", "regression")
+        assert back.A.tobytes() == ds.A.tobytes()
+        assert back.y.tobytes() == ds.y.tobytes()
+        assert back.feature_names == ds.feature_names
+        if ds.split is None:
+            assert back.split is None
+        else:
+            assert back.split.tolist() == ds.split.tolist()
+        shown = []
+        for f in (path, quoted):
+            assert main(["describe", str(f)]) == 0
+            shown.append(capsys.readouterr().out)
+        assert shown[0] == shown[1]
 
     def test_classification(self, tmp_path, monkeypatch, capsys):
         ds = generate_grouped_classification(ClassificationSpec(

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -267,9 +268,7 @@ class TestReportArtifacts:
 
     def test_profile_rows_cover_every_coefficient(self, report, tmp_path):
         _, _, profile_path = emit_table(report, tmp_path)
-        lines = profile_path.read_text().splitlines() \
-            if hasattr(profile_path, "read_text") \
-            else open(profile_path).read().splitlines()
+        lines = Path(profile_path).read_text().splitlines()
         p = report.profile["index"][-1]
         assert len(lines) == 1 + p
         assert lines[0] == "index,true,lasso,enet,oscar,sparc"
@@ -282,11 +281,11 @@ class TestReportArtifacts:
         paths1 = emit_table(report, d1)
         paths2 = emit_table(report, d2)
         for p1, p2 in zip(paths1, paths2):
-            assert open(p1, "rb").read() == open(p2, "rb").read()
+            assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_unsupported_schema_rejected(self, report, tmp_path):
         _, json_path, _ = emit_table(report, tmp_path)
-        blob = json.load(open(json_path))
+        blob = json.loads(Path(json_path).read_text())
         blob["schema_version"] = 99
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))

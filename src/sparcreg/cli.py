@@ -73,6 +73,11 @@ def _fmt(v):
     return f"{v:g}"
 
 
+def _json_number(v):
+    """v, or None where it is not finite, so stdout stays strict JSON."""
+    return v if np.isfinite(v) else None
+
+
 def _parse_list(text, flag, cast=float):
     with _usage(f"{flag}: "):
         return [cast(t) for t in text.replace(",", " ").split()]
@@ -143,10 +148,12 @@ def cmd_prox(args):
     with _usage():
         reg = _prox_regularizer(args)
         x = prox(reg, v)
-        obj = prox_objective(reg, v, x)
+        # on finite input the objective can only overflow, to inf
+        with np.errstate(over="ignore"):
+            obj = prox_objective(reg, v, x)
     if args.json:
         print(json.dumps(
-            {"x": [float(t) for t in x], "objective": float(obj)},
+            {"x": [float(t) for t in x], "objective": _json_number(obj)},
             sort_keys=True,
         ))
     else:
@@ -324,9 +331,7 @@ def cmd_describe(args):
         d["label_range"] = [float(y.min()), float(y.max())]
 
     if args.json:
-        # an infinite norm becomes null, so stdout stays strict JSON
-        d["norm_range"] = [v if np.isfinite(v) else None
-                           for v in d["norm_range"]]
+        d["norm_range"] = [_json_number(v) for v in d["norm_range"]]
         print(json.dumps(d, sort_keys=True))
         return 0
     print(f"n={d['n']} p={d['p']}")

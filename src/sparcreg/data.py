@@ -59,6 +59,15 @@ def _as_design(A):
     return A
 
 
+def _as_response(y, n):
+    """y as a float vector; ValueError unless it has one entry per row of
+    an n-row A."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
+    return y
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix with response, task tag, and optional extras.
@@ -87,11 +96,7 @@ class Dataset:
 
     def __post_init__(self):
         A = _as_design(self.A)
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (A.shape[0],):
-            raise ValueError(
-                f"y has shape {y.shape}, expected ({A.shape[0]},)"
-            )
+        y = _as_response(self.y, A.shape[0])
         if not (np.isfinite(A).all() and np.isfinite(y).all()):
             raise ValueError("A and y must be finite")
         if self.task not in ("regression", "classification"):

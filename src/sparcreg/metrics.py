@@ -7,7 +7,9 @@ Six metrics, all computed on the test split:
 * SER  -- || |x*| - |e| ||_1 / p, reported as a percentage
 * DoF  -- number of distinct nonzero magnitude classes in e
 * CLA  -- percentage of test rows with sign(a^T e) = y, sign(0) = +1
-* NNZ  -- number of entries with |e_i| above a small tolerance
+* NNZ  -- number of nonzero entries of e
+
+DoF and NNZ count the same nonzeros, |e_i| > 1e-8, so DoF <= NNZ.
 
 MAE and MSE are sums over test rows, not means; pass ``average=True`` to
 ``compute_report`` to divide both by the test count.
@@ -15,9 +17,6 @@ MAE and MSE are sums over test rows, not means; pass ``average=True`` to
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,6 +36,12 @@ __all__ = [
 ]
 
 METRIC_NAMES = ("MAE", "MSE", "SER", "DoF", "CLA", "NNZ")
+
+# |e_i| above this is a nonzero, for DoF and NNZ alike
+_ZERO_TOL = 1e-8
+# two nonzero magnitudes share a DoF class when they differ by at most
+# this times (1 + the larger)
+_CLASS_TOL = 1e-4
 
 
 class MetricUnavailableError(ValueError):
@@ -68,26 +73,6 @@ class MetricsReport:
     def to_dict(self):
         """Flat name -> value dict, None for unavailable metrics."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self):
-        """Two CSV lines: header and one value row (empty = unavailable)."""
-        def cell(v):
-            if v is None:
-                return ""
-            return repr(v) if isinstance(v, float) else v
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(METRIC_NAMES)
-        w.writerow([cell(getattr(self, k)) for k in METRIC_NAMES])
-        return buf.getvalue()
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**{k: d.get(k) for k in METRIC_NAMES})
 
 
 def _require_truth(x_true):
@@ -124,19 +109,19 @@ def ser(x_true, e, p=None):
     return float(np.abs(np.abs(x_true) - np.abs(e)).sum() / p * 100.0)
 
 
-def dof(e, tol=1e-4, zero_tol=1e-8):
+def dof(e):
     """Distinct magnitude classes among the nonzero entries of e.
 
     Two magnitudes share a class when they differ by at most
-    tol * (1 + larger).  Sorting makes the classes contiguous, so one pass
+    1e-4 * (1 + larger).  Sorting makes the classes contiguous, so one pass
     over adjacent gaps counts them.
     """
     e = _as_vector(e, "e")
-    mags = np.sort(np.abs(e[np.abs(e) > zero_tol]))
+    mags = np.sort(np.abs(e[np.abs(e) > _ZERO_TOL]))
     if mags.size == 0:
         return 0
     gaps = np.diff(mags)
-    return int(1 + np.count_nonzero(gaps > tol * (1.0 + mags[1:])))
+    return int(1 + np.count_nonzero(gaps > _CLASS_TOL * (1.0 + mags[1:])))
 
 
 def cla(A_test, y_test, e):
@@ -149,10 +134,10 @@ def cla(A_test, y_test, e):
     return float((pred == y_test).mean() * 100.0)
 
 
-def nnz(e, tol=1e-8):
-    """Number of entries with |e_i| > tol."""
+def nnz(e):
+    """Number of entries with |e_i| > 1e-8."""
     e = _as_vector(e, "e")
-    return int(np.count_nonzero(np.abs(e) > tol))
+    return int(np.count_nonzero(np.abs(e) > _ZERO_TOL))
 
 
 def compute_report(ds, e, average=False):

@@ -60,9 +60,10 @@ def _check_nonneg(value, name):
 
 
 def _check_count(value, name):
-    """int(value) for a finite, integral value >= 1; anything else raises."""
+    """int(value) for a finite, integral value >= 1 that is not a boolean;
+    anything else raises."""
     try:
-        count = int(value)
+        count = 0 if isinstance(value, (bool, np.bool_)) else int(value)
     except (ValueError, OverflowError):  # nan, inf
         count = 0
     if count != value or count < 1:

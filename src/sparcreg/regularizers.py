@@ -34,18 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import (  # the public operators stay importable from here
+from .prox import (
     _as_vector,
     _check_count,
     _check_k,
     _check_nonneg,
     _owl,
     _prox_terms,
-    owl_weights,
-    prox_elastic_net,
+    # unused here: bench/tests/test_bench.py checks that tracing patches
+    # and restores this binding
     prox_oscar,
-    prox_sparc,
-    soft_threshold,
 )
 
 __all__ = [

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _as_design, _row_index, _select_rows
-from .prox import _as_vector, _check_count, project_k_sparse
-from .regularizers import (_penalty, _price, _terms, _weights,
-                           penalty_value, prox)
+from .data import _as_design, _as_response, _row_index, _select_rows
+from .prox import _as_vector, _check_count, _check_k, project_k_sparse
+from .regularizers import _penalty, _price, _terms, _weights, prox
 
 __all__ = [
     "Objective",
@@ -89,13 +88,7 @@ class Objective:
 
     def __post_init__(self):
         A = _as_design(self.A)
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 1:
-            raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        if A.shape[0] != y.size:
-            raise ValueError(
-                f"A has {A.shape[0]} rows but y has {y.size} entries"
-            )
+        y = _as_response(self.y, A.shape[0])
         if A.size >= _SUPPORT_PRODUCTS_MIN_SIZE:
             A = np.asfortranarray(A)
             # einsum sums each column's squares in place, without the
@@ -237,8 +230,10 @@ def _checked_x(obj, x, name="x"):
 def objective_value(obj, x):
     """F(x) = 0.5*||A x - y||^2 + penalty(x)."""
     x = _checked_x(obj, x)
-    r = _times_A(obj, x) - obj.y
-    return 0.5 * float(r @ r) + penalty_value(obj.reg, x)
+    k = _terms(obj.reg)[3]
+    if k is not None:
+        _check_k(k, x.size)
+    return _residual_and_objective(obj, x)[1]
 
 
 def _residual_and_objective(obj, x, stats=None):

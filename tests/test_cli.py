@@ -65,6 +65,22 @@ class TestProx:
         assert blob["x"] == [4.0, 0.0, -3.0]
         assert blob["objective"] == 5.0
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)],
+                             ids=["text", "json"])
+    def test_overflowing_objective(self, capsys, json_flag):
+        # 0.5 * ||x - v||^2 overflows at v_1 = 1e308: the objective is inf,
+        # printed as such in text and as null in strict JSON, without a
+        # warning on stderr
+        code, out, err = run(capsys, "prox", "--oscar", "--lambda1", "1",
+                             "--lambda2", "1e308", "--vec", "1e308 2",
+                             *json_flag)
+        assert (code, err) == (0, "")
+        if json_flag:
+            blob = json.loads(out, parse_constant=pytest.fail)
+            assert blob == {"objective": None, "x": [0.5, 0.5]}
+        else:
+            assert out.splitlines() == ["0.5 0.5", "objective inf"]
+
     def test_malformed_vector_names_token(self, capsys):
         code, _, err = run(capsys, "prox", "--lasso", "--lambda1", "1",
                            "--vec", "1,abc")

@@ -5,7 +5,6 @@ import pytest
 from sparcreg.data import ClassificationSpec, SyntheticSpec, \
     generate_grouped_classification, generate_synthetic
 from sparcreg.metrics import (
-    METRIC_NAMES,
     MetricsReport,
     MetricUnavailableError,
     cla,
@@ -127,27 +126,6 @@ class TestMetricsReport:
             MetricsReport(SER=-1.0)
         with pytest.raises(ValueError):
             MetricsReport(CLA=101.0)
-
-    def test_json_round_trip(self):
-        import json
-        rep = MetricsReport(MAE=1.5, MSE=2.25, SER=10.0, DoF=2, NNZ=4)
-        back = MetricsReport.from_dict(json.loads(rep.to_json()))
-        assert back == rep
-
-    def test_csv_shape(self):
-        rep = MetricsReport(CLA=75.0, DoF=1, NNZ=2)
-        lines = rep.to_csv().splitlines()
-        assert lines[0] == ",".join(METRIC_NAMES)
-        cells = lines[1].split(",")
-        assert len(cells) == 6
-        assert cells[0] == ""          # MAE unavailable
-        assert cells[4] == "75.0"
-
-    def test_csv_values_parse_back_exactly(self):
-        rep = MetricsReport(MAE=1 / 3, MSE=2 / 7, SER=0.1, DoF=5, NNZ=9)
-        cells = rep.to_csv().splitlines()[1].split(",")
-        assert float(cells[0]) == rep.MAE
-        assert float(cells[1]) == rep.MSE
 
 
 class TestComputeReport:

@@ -17,7 +17,9 @@ from sparcreg.prox import (
     top_k_support,
 )
 
-from sparcreg.experiment import default_grids
+from sparcreg.data import SyntheticSpec, generate_synthetic, \
+    top_correlation_screen
+from sparcreg.experiment import GridSpec, default_grids, run_repetitions
 from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox
 from sparcreg.solver import SolverConfig
 
@@ -504,6 +506,8 @@ class TestInputValidation:
             prox_oscar(np.ones((2, 2)), 0.5, 0.5)
 
 
+_TINY = SyntheticSpec(n_train=6, n_validation=3, n_test=4, n_irrelevant=2)
+
 # every count of the library, as (name, function of the count that
 # returns the count it kept)
 _COUNTS = {
@@ -517,6 +521,12 @@ _COUNTS = {
     "default_grids.k_grid": lambda k: default_grids(
         10, k_grid=[k]).sparc[0].k,
     "SolverConfig.max_outer": lambda k: SolverConfig(max_outer=k).max_outer,
+    "SolverConfig.max_inner": lambda k: SolverConfig(max_inner=k).max_inner,
+    "run_repetitions.repetitions": lambda k: run_repetitions(
+        _TINY, GridSpec(lasso=[Lasso(0.1)]), repetitions=k,
+        methods=["lasso"]).repetitions,
+    "top_correlation_screen.m": lambda m: top_correlation_screen(
+        generate_synthetic(_TINY), m)[1].size,
 }
 
 
@@ -537,3 +547,11 @@ class TestCountRule:
     def test_integral_value_is_the_count(self, count, value):
         kept = count(value)
         assert kept == 3 and type(kept) is int
+
+    @pytest.mark.parametrize("flag", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("count", _COUNTS.values(), ids=_COUNTS.keys())
+    def test_boolean_rejected(self, count, flag):
+        # True == 1, but a flag is not a count
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            count(flag)

@@ -6,6 +6,7 @@ import pytest
 
 from sparcreg.prox import soft_threshold
 from sparcreg import solver
+from sparcreg.data import Dataset
 from sparcreg.regularizers import (
     ElasticNet,
     Lasso,
@@ -55,6 +56,17 @@ class TestObjective:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Objective(np.array([[np.inf]]), np.array([1.0]), Lasso(1.0))
+
+    @pytest.mark.parametrize("y", [np.ones((3, 1)), np.ones(2)],
+                             ids=["2-D", "wrong-length"])
+    def test_response_check_is_the_datasets(self, y):
+        # one rule, one message: y is a vector with one entry per row of A
+        with pytest.raises(ValueError) as from_dataset:
+            Dataset(np.ones((3, 2)), y, "regression")
+        with pytest.raises(ValueError) as from_objective:
+            Objective(np.ones((3, 2)), y, Lasso(1.0))
+        assert str(from_objective.value) == str(from_dataset.value) \
+            == f"y has shape {y.shape}, expected (3,)"
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(31)
@@ -386,6 +398,25 @@ class TestSupportProducts:
     def test_shapes_straddle_the_rule(self):
         assert np.prod(self.BELOW) < _SUPPORT_PRODUCTS_MIN_SIZE \
             <= np.prod(self.ABOVE)
+
+    @pytest.mark.parametrize("shape", [ABOVE, BELOW],
+                             ids=["above", "below"])
+    @pytest.mark.parametrize("reg", [Lasso(0.3), ElasticNet(0.2, 0.5),
+                                     Oscar(0.1, 0.05), Sparc(0.05, 30)],
+                             ids=["lasso", "enet", "oscar", "sparc"])
+    def test_objective_value_is_the_loops_objective(self, shape, reg):
+        # the public F and the one the solver prices its start with agree
+        # bit for bit, on the gathered product as on the dense one
+        A, y = self._problem(shape)
+        obj = Objective(A, y, reg)
+        rng = np.random.default_rng(2)
+        p = A.shape[1]
+        for size in (0, 1, 30, p // 3):
+            x = np.zeros(p)
+            x[rng.choice(p, size, replace=False)] = rng.normal(0, 1, size)
+            # Sparc's F is inf at the last size, above k = 30
+            assert objective_value(obj, x) \
+                == _residual_and_objective(obj, x)[1]
 
     @pytest.mark.parametrize("support", ["empty", "one", "partial", "full"])
     def test_restricted_product_matches_dense(self, support):

@@ -50,6 +50,7 @@ from .experiment import (
     run_repetitions,
 )
 from .metrics import compute_report
+from .prox import _check_count
 from .regularizers import _BY_METHOD, prox, prox_objective
 from .solver import SolverConfig, SolverDivergenceError
 
@@ -192,8 +193,8 @@ def _print_config_lines(pairs):
 def cmd_synth(args):
     methods = _parse_methods(args.methods)
     cfg = _solver_config(args)
-    if args.reps < 1:
-        raise CliError(f"--reps must be >= 1, got {args.reps}")
+    with _usage():
+        _check_count(args.reps, "--reps")
     spec = SyntheticSpec()
     grids = _grids(methods, _grid_axes(args, spec.p))
     report = run_repetitions(
@@ -251,8 +252,9 @@ def cmd_fit(args):
     fractions = _parse_fractions(args.split)
     cfg = _solver_config(args)
     given = _given_fields(args, args.method)
-    if args.screen is not None and args.screen < 1:
-        raise CliError(f"--screen must be >= 1, got {args.screen}")
+    if args.screen is not None:
+        with _usage():
+            _check_count(args.screen, "--screen")
     # check every penalty value and k before reading the CSV: a grid for
     # one feature holds them all (the k axis for the real p comes later)
     _fit_grid(args, 1, given)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import _check_count
+from .prox import _as_vector, _check_count
 
 __all__ = [
     "SPLIT_NAMES",
@@ -59,15 +59,6 @@ def _as_design(A):
     return A
 
 
-def _as_response(y, n):
-    """y as a float vector; ValueError unless it has one entry per row of
-    an n-row A."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    return y
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Design matrix with response, task tag, and optional extras.
@@ -96,9 +87,10 @@ class Dataset:
 
     def __post_init__(self):
         A = _as_design(self.A)
-        y = _as_response(self.y, A.shape[0])
-        if not (np.isfinite(A).all() and np.isfinite(y).all()):
-            raise ValueError("A and y must be finite")
+        n, p = A.shape
+        y = _as_vector(self.y, "y", n)
+        if not np.isfinite(A).all():
+            raise ValueError("A must be finite")
         if self.task not in ("regression", "classification"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.task == "classification" and not np.isin(y, (-1.0, 1.0)).all():
@@ -106,15 +98,11 @@ class Dataset:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
         if self.x_true is not None:
-            xt = np.asarray(self.x_true, dtype=float)
-            if xt.shape != (A.shape[1],):
-                raise ValueError(
-                    f"x_true has shape {xt.shape}, expected ({A.shape[1]},)"
-                )
-            object.__setattr__(self, "x_true", xt)
+            object.__setattr__(self, "x_true",
+                               _as_vector(self.x_true, "x_true", p))
         if self.split is not None:
             sp = np.asarray(self.split, dtype=str)
-            if sp.shape != (A.shape[0],):
+            if sp.shape != (n,):
                 raise ValueError("split labels must cover every row exactly")
             bad = set(sp.tolist()) - set(SPLIT_NAMES)
             if bad:
@@ -122,10 +110,8 @@ class Dataset:
             object.__setattr__(self, "split", sp)
         if self.feature_names is not None:
             names = tuple(str(c) for c in self.feature_names)
-            if len(names) != A.shape[1]:
-                raise ValueError(
-                    f"{len(names)} feature names for {A.shape[1]} columns"
-                )
+            if len(names) != p:
+                raise ValueError(f"{len(names)} feature names for {p} columns")
             object.__setattr__(self, "feature_names", names)
 
     @property

@@ -84,29 +84,26 @@ def _require_truth(x_true):
 def mae(A_test, x_true, e):
     """Sum of absolute prediction differences ||A (x* - e)||_1."""
     x_true = _require_truth(x_true)
-    e = _as_vector(e, "e")
+    e = _as_vector(e, "e", x_true.size)
     return float(np.abs(A_test @ (x_true - e)).sum())
 
 
 def mse(A_test, x_true, e):
     """Sum of squared prediction differences ||A (x* - e)||_2^2."""
     x_true = _require_truth(x_true)
-    e = _as_vector(e, "e")
+    e = _as_vector(e, "e", x_true.size)
     r = A_test @ (x_true - e)
     return float(r @ r)
 
 
-def ser(x_true, e, p=None):
+def ser(x_true, e):
     """Mean absolute magnitude error || |x*| - |e| ||_1 / p, as a percent.
 
     Depends on magnitudes only, so it is blind to sign flips.
     """
     x_true = _require_truth(x_true)
-    e = _as_vector(e, "e")
-    if x_true.size != e.size:
-        raise ValueError("x* and e must have equal length")
-    p = x_true.size if p is None else int(p)
-    return float(np.abs(np.abs(x_true) - np.abs(e)).sum() / p * 100.0)
+    e = _as_vector(e, "e", x_true.size)
+    return float(np.abs(np.abs(x_true) - np.abs(e)).sum() / e.size * 100.0)
 
 
 def dof(e):
@@ -126,8 +123,8 @@ def dof(e):
 
 def cla(A_test, y_test, e):
     """Percentage of rows where sign(a^T e) matches the label; sign(0) = +1."""
-    e = _as_vector(e, "e")
-    y_test = _as_vector(y_test, "y_test")
+    e = _as_vector(e, "e", A_test.shape[1])
+    y_test = _as_vector(y_test, "y_test", A_test.shape[0])
     if A_test.shape[0] == 0:
         raise ValueError("no test rows")
     pred = np.where(A_test @ e >= 0, 1.0, -1.0)
@@ -156,5 +153,5 @@ def compute_report(ds, e, average=False):
             scale = A_test.shape[0] if average else 1
             vals["MAE"] = mae(A_test, ds.x_true, e) / scale
             vals["MSE"] = mse(A_test, ds.x_true, e) / scale
-            vals["SER"] = ser(ds.x_true, e, ds.p)
+            vals["SER"] = ser(ds.x_true, e)
     return MetricsReport(**vals)

@@ -35,17 +35,21 @@ __all__ = [
 _FLOAT = np.dtype(float)
 
 
-def _as_vector(v, name="v"):
+def _as_vector(v, name="v", size=None):
+    """v as a finite 1-D float64 array, a 0-D value as one entry; with
+    ``size``, of shape (size,).  The one vector rule of the package."""
     if type(v) is np.ndarray and v.dtype is _FLOAT and v.ndim == 1:
         arr = v  # what np.asarray(v, dtype=float) would return
     else:
         arr = np.asarray(v, dtype=float)
         if arr.ndim == 0:
             arr = arr.reshape(1)
-        if arr.ndim != 1:
+        if arr.ndim != 1 and size is None:
             raise ValueError(
                 f"{name} must be a 1-D vector, got shape {arr.shape}"
             )
+    if size is not None and arr.shape != (size,):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({size},)")
     # np.isfinite(arr).all(), without the method's wrapper
     if not np.logical_and.reduce(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")

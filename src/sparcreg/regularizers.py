@@ -244,6 +244,6 @@ def prox(reg, v, alpha=1.0, *, d=None, magnitudes=False):
 def prox_objective(reg, v, z, alpha=1.0):
     """Value of the prox objective ``penalty(reg, z)/alpha + 0.5*||z - v||^2``."""
     v = _as_vector(v)
-    z = _as_vector(z, "z")
+    z = _as_vector(z, "z", v.size)
     d = z - v
     return _checked_penalty(_scale(reg, alpha), z) + 0.5 * float(d @ d)

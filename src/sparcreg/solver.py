@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import _as_design, _as_response, _row_index, _select_rows
+from .data import _as_design, _row_index, _select_rows
 from .prox import _as_vector, _check_count, _check_k, project_k_sparse
 from .regularizers import _penalty, _price, _terms, _weights, prox
 
@@ -47,6 +47,13 @@ __all__ = [
 
 class SolverDivergenceError(RuntimeError):
     """Raised when an iterate or objective stops being finite."""
+
+
+def _check_reg(reg, p):
+    """Raise unless reg is a ``Regularizer`` whose cap, if any, is <= p."""
+    k = _terms(reg)[3]
+    if k is not None:
+        _check_k(k, p)
 
 
 # designs with at least this many entries are kept column-major and
@@ -73,11 +80,12 @@ class Objective:
 
     A is (n, p), y is (n,).  Rows are samples; the fit term is
     (1/2) * ||A x - y||^2 with no 1/n factor.  Building one checks that A
-    and y are finite and stores an A of at least 2**16 entries
-    column-major (a copy unless it already is), together with its column
-    norms ``col_norms`` (None below 2**16 entries), which bound how far
-    each entry of A^T r moves with r; ``_with_reg`` derives the objective
-    of another regularizer on the same design without repeating any of it.
+    and y are finite and that reg is a ``Regularizer`` whose cap, if any,
+    is at most p, and stores an A of at least 2**16 entries column-major (a
+    copy unless it already is), together with its column norms
+    ``col_norms`` (None below 2**16 entries), which bound how far each
+    entry of A^T r moves with r; ``_with_reg`` derives the objective of
+    another regularizer on the same design, checking only the regularizer.
     """
 
     A: np.ndarray
@@ -88,7 +96,9 @@ class Objective:
 
     def __post_init__(self):
         A = _as_design(self.A)
-        y = _as_response(self.y, A.shape[0])
+        n, p = A.shape
+        y = _as_vector(self.y, "y", n)
+        _check_reg(self.reg, p)
         if A.size >= _SUPPORT_PRODUCTS_MIN_SIZE:
             A = np.asfortranarray(A)
             # einsum sums each column's squares in place, without the
@@ -101,8 +111,8 @@ class Objective:
             object.__setattr__(self, "col_norms", norms)
         else:
             finite = np.isfinite(A).all()
-        if not (finite and np.isfinite(y).all()):
-            raise ValueError("A and y must be finite")
+        if not finite:
+            raise ValueError("A must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
@@ -126,6 +136,7 @@ class Objective:
     def _with_reg(self, reg):
         """This objective with ``reg``, sharing the checked A and y and the
         column norms."""
+        _check_reg(reg, self.A.shape[1])
         obj = object.__new__(Objective)
         object.__setattr__(obj, "A", self.A)
         object.__setattr__(obj, "y", self.y)
@@ -219,32 +230,24 @@ def _times_A(obj, x, stats=None, support=None):
     return A @ x
 
 
-def _checked_x(obj, x, name="x"):
-    x = _as_vector(x, name)
-    p = obj.A.shape[1]
-    if x.size != p:
-        raise ValueError(f"{name} has size {x.size}, expected {p}")
-    return x
-
-
 def objective_value(obj, x):
     """F(x) = 0.5*||A x - y||^2 + penalty(x)."""
-    x = _checked_x(obj, x)
-    k = _terms(obj.reg)[3]
-    if k is not None:
-        _check_k(k, x.size)
-    return _residual_and_objective(obj, x)[1]
+    return _residual_and_objective(
+        obj, _as_vector(x, "x", obj.A.shape[1]))[1]
 
 
 def _residual_and_objective(obj, x, stats=None):
-    """Residual A x - y and F(x), sharing one product with A; x is unchecked."""
+    """Residual A x - y and F(x), sharing one product with A; x is unchecked.
+    A data term past the float range is F = inf, without numpy's warning."""
     r = _times_A(obj, x, stats) - obj.y
-    return r, 0.5 * float(r @ r) + _penalty(obj.reg.terms(), x)
+    with np.errstate(over="ignore"):
+        f = 0.5 * float(r @ r)
+    return r, f + _penalty(obj.reg.terms(), x)
 
 
 def gradient_smooth(obj, x):
     """Gradient of the data term: A^T (A x - y)."""
-    x = _checked_x(obj, x)
+    x = _as_vector(x, "x", obj.A.shape[1])
     return obj.A.T @ (obj.A @ x - obj.y)
 
 
@@ -354,7 +357,8 @@ def bb_step(s, A):
 
     Equals the Rayleigh quotient of A^T A at s without ever forming A^T A.
     """
-    s = _as_vector(s, "s")
+    A = _as_design(A)
+    s = _as_vector(s, "s", A.shape[1])
     ss = float(s @ s)
     if ss == 0.0:
         raise ValueError("displacement s is zero; BB step undefined")
@@ -422,7 +426,7 @@ def _initial_point(obj, x0):
     if x0 is None:
         x = np.zeros(obj.A.shape[1])
     else:
-        x = _checked_x(obj, x0, "x0").copy()
+        x = _as_vector(x0, "x0", obj.A.shape[1]).copy()
     k = _terms(obj.reg)[3]
     if k is not None:
         # the penalty is +inf off the k-sparse set; start feasible

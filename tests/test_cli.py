@@ -373,11 +373,23 @@ class TestFit:
                          "--method", "lasso", "--outdir", str(tmp_path))
         assert code == 1
 
+    def test_overflowing_start_objective(self, capsys, tmp_path):
+        # ||y||^2 overflows for labels near 1e200: the solver's own error,
+        # without numpy's overflow warning ahead of it
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,label\n" + "".join(
+            f"{i % 7 - 3.0!r},{i % 5 - 2.0!r},{1e200 * (1 + i)!r}\n"
+            for i in range(60)))
+        code, out, err = run(capsys, "fit", str(path), "--label", "label",
+                             "--task", "regression", "--method", "lasso",
+                             "--outdir", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", "error: objective at start is inf\n")
+
     @pytest.mark.parametrize("bad, message", [
         (["--lambda-grid", ","], "empty penalty grid"),
         (["--lambda-grid=-1"], "lam1 must be finite and non-negative, "
                                "got -1.0"),
-        (["--screen", "0"], "--screen must be >= 1, got 0"),
+        (["--screen", "0"], "--screen must be a positive integer, got 0"),
         (["--method", "sparc", "--k-grid", "0,-3"],
          "k must be a positive integer, got 0"),
         (["--method", "sparc", "--k", "0"],

@@ -212,6 +212,15 @@ class TestDatasetContainer:
             Dataset(np.ones((2, 2)), np.ones(2), "regression",
                     split=np.array(["train", "holdout"]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_truth_rejected(self, entry):
+        # at the boundary, not first in compute_report
+        with pytest.raises(ValueError,
+                           match="^x_true contains non-finite entries$"):
+            Dataset(np.ones((2, 2)), np.ones(2), "regression",
+                    x_true=[entry, 1.0])
+
     def test_part_requires_split(self):
         ds = Dataset(np.ones((2, 2)), np.ones(2), "regression")
         with pytest.raises(ValueError):

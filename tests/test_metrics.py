@@ -54,10 +54,6 @@ class TestSer:
         x = np.array([1.5, -2.0, 0.0])
         assert ser(x, -x) == pytest.approx(0.0)
 
-    def test_explicit_p_overrides_length(self):
-        assert ser(np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                   p=4) == pytest.approx(25.0)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ser(np.array([1.0]), np.array([1.0, 2.0]))

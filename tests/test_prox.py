@@ -20,8 +20,11 @@ from sparcreg.prox import (
 from sparcreg.data import SyntheticSpec, generate_synthetic, \
     top_correlation_screen
 from sparcreg.experiment import GridSpec, default_grids, run_repetitions
-from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox
-from sparcreg.solver import SolverConfig
+from sparcreg.metrics import cla, mae, mse, ser
+from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc, prox, \
+    prox_objective
+from sparcreg.solver import Objective, SolverConfig, bb_step, \
+    gradient_smooth, objective_value, sparsa_solve
 
 from oracles import (
     SortedMagnitudeView,
@@ -555,3 +558,46 @@ class TestCountRule:
         # True == 1, but a flag is not a count
         with pytest.raises(ValueError, match="must be a positive integer"):
             count(flag)
+
+
+_OBJ3 = Objective(np.eye(3), np.ones(3), Lasso(0.1))
+
+# every vector argument that must have the length of another argument, as
+# (call with a vector of the wrong length, the error it raises); numpy
+# would broadcast the first five to a number
+_LENGTHS = {
+    "mae.e": (lambda: mae(np.eye(3), [1, 2, 3], [1.0]),
+              "e has shape (1,), expected (3,)"),
+    "mae.x_true": (lambda: mae(np.eye(3), [1.0], [1, 2, 3]),
+                   "e has shape (3,), expected (1,)"),
+    "mse.e": (lambda: mse(np.eye(3), [1, 2, 3], [1.0]),
+              "e has shape (1,), expected (3,)"),
+    "cla.y_test": (lambda: cla(np.eye(3), [1.0], [1, -1, 1]),
+                   "y_test has shape (1,), expected (3,)"),
+    "prox_objective.z": (lambda: prox_objective(Lasso(1), [1, 2, 3], [0.5]),
+                         "z has shape (1,), expected (3,)"),
+    "cla.e": (lambda: cla(np.eye(3), [1, -1, 1], [1.0]),
+              "e has shape (1,), expected (3,)"),
+    "ser.e": (lambda: ser([1.0, 2.0, 3.0], [1.0, 2.0]),
+              "e has shape (2,), expected (3,)"),
+    "objective_value.x": (lambda: objective_value(_OBJ3, np.ones(4)),
+                          "x has shape (4,), expected (3,)"),
+    "gradient_smooth.x": (lambda: gradient_smooth(_OBJ3, np.ones((3, 1))),
+                          "x has shape (3, 1), expected (3,)"),
+    "sparsa_solve.x0": (lambda: sparsa_solve(_OBJ3, x0=np.ones(2)),
+                        "x0 has shape (2,), expected (3,)"),
+    "bb_step.s": (lambda: bb_step(np.ones(2), np.eye(3)),
+                  "s has shape (2,), expected (3,)"),
+}
+
+
+class TestLengthRule:
+    """A vector that pairs with a length is refused, with one message,
+    unless it has that length."""
+
+    @pytest.mark.parametrize("call, message", _LENGTHS.values(),
+                             ids=_LENGTHS.keys())
+    def test_wrong_length_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -68,6 +68,20 @@ class TestObjective:
         assert str(from_objective.value) == str(from_dataset.value) \
             == f"y has shape {y.shape}, expected (3,)"
 
+    @pytest.mark.parametrize("reg, error, message", [
+        ("lasso", TypeError, "unknown regularizer 'lasso'"),
+        (Sparc(1.0, 5), ValueError, "k must satisfy 1 <= k <= 2, got 5"),
+    ], ids=["not-a-regularizer", "cap-above-p"])
+    def test_regularizer_checked_when_built(self, reg, error, message):
+        # not first inside sparsa_solve
+        A, y = np.ones((3, 2)), np.ones(3)
+        with pytest.raises(error) as built:
+            Objective(A, y, reg)
+        assert str(built.value) == message
+        with pytest.raises(error) as derived:
+            Objective(A, y, Lasso(1.0))._with_reg(reg)
+        assert str(derived.value) == message
+
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(31)
         h = 1e-6
@@ -503,7 +517,7 @@ class TestSupportProducts:
         p = shape[1]
         x = np.zeros(p + delta)
         x[:3] = 1.0
-        message = f"x has size {p + delta}, expected {p}"
+        message = rf"x has shape \({p + delta},\), expected \({p},\)"
         with pytest.raises(ValueError, match=message):
             objective_value(obj, x)
         with pytest.raises(ValueError, match=message):
@@ -624,7 +638,7 @@ class TestSupportProducts:
         A, y = self._problem(shape)
         A[7, 300] = entry
         if not np.isfinite(entry):
-            with pytest.raises(ValueError, match="must be finite"):
+            with pytest.raises(ValueError, match="A must be finite"):
                 Objective(A, y, Lasso(0.1))
             return
         obj = Objective(A, y, Lasso(0.1))
@@ -633,7 +647,7 @@ class TestSupportProducts:
             assert np.isfinite(np.delete(obj.col_norms, 300)).all()
         A, y = self._problem(shape)
         y[3] = np.nan
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
             Objective(A, y, Lasso(0.1))
 
     @pytest.mark.parametrize("shape", [ABOVE, BELOW],

@@ -257,6 +257,11 @@ def cmd_fit(args):
             _check_count(args.screen, "--screen")
     # check every penalty value and k before reading the CSV: a grid for
     # one feature holds them all (the k axis for the real p comes later)
+    free = {f.name for f in fields(_BY_METHOD[args.method])} - set(given)
+    for flag, text, fed in (("--lambda-grid", args.lambda_grid, free - {"k"}),
+                            ("--k-grid", args.k_grid, free & {"k"})):
+        if text and not fed:
+            raise CliError(f"{flag} feeds no searched --{args.method} axis")
     _fit_grid(args, 1, given)
     ds = load_csv(args.csv, args.label, args.task)
     with _usage():

@@ -258,10 +258,15 @@ class BenchmarkReport:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("report is not a JSON object")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported report schema {d.get('schema_version')!r}"
             )
+        for f in fields(cls):
+            if f.name not in d:
+                raise ValueError(f"report has no field {f.name!r}")
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 

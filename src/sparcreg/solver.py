@@ -5,9 +5,9 @@ Minimizes F(x) = (1/2) ||A x - y||^2 + penalty(reg, x) by iterating
     x_{t+1} = prox_{penalty / alpha_t} ( x_t - grad(x_t) / alpha_t )
 
 where alpha_t starts from a spectral (BB) estimate and is increased by a
-factor eta until the candidate satisfies the sufficient-decrease test
+factor _ETA until the candidate satisfies the sufficient-decrease test
 
-    F(x_{t+1}) <= F(x_t) - (sigma * alpha_t / 2) * ||x_{t+1} - x_t||^2.
+    F(x_{t+1}) <= F(x_t) - (_SIGMA * alpha_t / 2) * ||x_{t+1} - x_t||^2.
 
 A^T A is never formed; products go through A and A^T only.  The residual
 A x - y of each candidate gives both its objective value and, once it is
@@ -72,6 +72,12 @@ _EPS = float(np.finfo(float).eps)
 # columns per block when scattered rows are gathered into a column-major
 # copy: a (rows, 256) temporary, 0.4 MB at 200 rows
 _GATHER_COLUMNS = 256
+# SpaRSA's step rule (Wright, Nowak & Figueiredo 2009), as sparsa_solve says
+_ETA = 2.0
+_ALPHA_MIN = 1.0
+_ALPHA_MAX = 1e30
+_MAX_INNER = 50
+_SIGMA = 0.01
 
 
 @dataclass(frozen=True)
@@ -147,29 +153,14 @@ class Objective:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    eta: float = 2.0
-    alpha_min: float = 1.0
-    alpha_max: float = 1e30
     max_outer: int = 1000
-    max_inner: int = 50
     tol: float = 1e-6
-    sigma: float = 0.01
 
     def __post_init__(self):
-        if not 0 < self.alpha_min <= self.alpha_max:
-            raise ValueError(
-                f"need 0 < alpha_min <= alpha_max, got "
-                f"{self.alpha_min}, {self.alpha_max}"
-            )
-        if not 1 < self.eta < math.inf:
-            raise ValueError(f"eta must lie in (1, inf), got {self.eta}")
-        for name in ("max_outer", "max_inner"):
-            object.__setattr__(self, name,
-                               _check_count(getattr(self, name), name))
-        if not 0 < self.tol < math.inf:
+        object.__setattr__(self, "max_outer",
+                           _check_count(self.max_outer, "max_outer"))
+        if type(self.tol) in (bool, np.bool_) or not 0 < self.tol < math.inf:
             raise ValueError(f"tol must lie in (0, inf), got {self.tol}")
-        if not 0 < self.sigma < 1:
-            raise ValueError(f"sigma must lie in (0, 1), got {self.sigma}")
 
 
 @dataclass
@@ -438,12 +429,12 @@ def sparsa_solve(obj, x0=None, config=None):
     """Run the BB proximal-gradient iteration to convergence.
 
     Every outer iteration computes the gradient once and backtracks from
-    alpha by eta until the monotone sufficient-decrease test passes.
-    Iteration 0 differs in three ways, since there is no displacement yet
-    to estimate curvature from: alpha is alpha_min, its one candidate is
-    taken without the test, and the relative-F tolerance is not checked.
-    Every later iteration seeds alpha from the BB ratio clamped to
-    [alpha_min, alpha_max].
+    alpha by _ETA, for at most _MAX_INNER candidates, until the monotone
+    sufficient-decrease test passes.  Iteration 0 differs in three ways:
+    with no displacement yet to estimate curvature from, alpha is
+    _ALPHA_MIN, its one candidate is taken without the test, and the
+    relative-F tolerance is not checked.  Every later iteration seeds
+    alpha from the BB ratio clamped to [_ALPHA_MIN, _ALPHA_MAX].
 
     Returns a SolverResult whose trace holds F after each accepted step;
     the trace is non-increasing, but trace[0] may exceed F(x0).  Raises
@@ -460,7 +451,7 @@ def sparsa_solve(obj, x0=None, config=None):
     step = _Step(obj)
     support = step.support(x)
     screen = _GradientScreen.of(obj)
-    alpha = cfg.alpha_min
+    alpha = _ALPHA_MIN
     trace = []
     termination = "max-iterations"
 
@@ -475,13 +466,12 @@ def sparsa_solve(obj, x0=None, config=None):
             # bb_step's ratio.  A s, not r - r_prev: the difference rounds
             # differently and moves alpha
             As = _times_A(obj, s, stats)
-            alpha = min(max(float(As @ As) / ss, cfg.alpha_min),
-                        cfg.alpha_max)
+            alpha = min(max(float(As @ As) / ss, _ALPHA_MIN), _ALPHA_MAX)
         cols, grad = _gradient(obj, support, r, screen, stats)
 
         accepted = False
         best_x, best_f = None, np.inf
-        for _ in range(cfg.max_inner):
+        for _ in range(_MAX_INNER):
             # a non-finite iterate makes its F non-finite (_price)
             x_cand, support_cand, r_cand, f_cand = step(x, cols, grad, alpha,
                                                         stats)
@@ -495,11 +485,11 @@ def sparsa_solve(obj, x0=None, config=None):
             ss = float(s @ s)
             # the first step is taken without the test, so F may rise
             # from x0 to trace[0]
-            if not it or f_cand <= f_x - 0.5 * cfg.sigma * alpha * ss:
+            if not it or f_cand <= f_x - 0.5 * _SIGMA * alpha * ss:
                 accepted = True
                 break
             stats.backtracks += 1
-            alpha *= cfg.eta
+            alpha *= _ETA
         if not accepted:
             # Backtracking exhausted.  Keep monotonicity: take the best
             # candidate only if it does not increase F, then stop.
@@ -522,8 +512,8 @@ def sparsa_solve(obj, x0=None, config=None):
             termination = "tolerance"
             break
 
-    # a capped line search raised alpha by eta after its last candidate
-    alpha_step = alpha / cfg.eta if termination == "line-search-cap" else alpha
+    # a capped line search raised alpha by _ETA after its last candidate
+    alpha_step = alpha / _ETA if termination == "line-search-cap" else alpha
     return SolverResult(
         x=x,
         trace=np.asarray(trace),

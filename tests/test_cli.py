@@ -238,15 +238,11 @@ class TestFit:
 
     def test_every_solver_flag_reaches_the_config(self, capsys, planted_csv,
                                                   tmp_path):
-        given = {"eta": 3.0, "alpha_min": 0.5, "alpha_max": 1e20,
-                 "max_outer": 500, "max_inner": 40, "tol": 1e-8,
-                 "sigma": 0.02}
+        given = {"max_outer": 500, "tol": 1e-8}
         defaults = asdict(SolverConfig())
         assert given.keys() == defaults.keys()
         assert all(given[k] != v for k, v in defaults.items())
-        flags = ["--eta", "3", "--alpha-min", "0.5", "--alpha-max", "1e20",
-                 "--max-outer", "500", "--max-inner", "40", "--tol", "1e-8",
-                 "--sigma", "0.02"]
+        flags = ["--max-outer", "500", "--tol", "1e-8"]
         for extra, expected in ((flags, given), ([], defaults)):
             out_dir = tmp_path / f"out{len(extra)}"
             code, _, err = run(capsys, "fit", str(planted_csv),
@@ -259,6 +255,30 @@ class TestFit:
             assert solver == expected
             assert {k: type(v) for k, v in solver.items()} == \
                 {k: type(v) for k, v in expected.items()}
+
+    def test_step_rule_constants_have_no_flag(self, capsys, planted_csv,
+                                              tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("eta=3\n")
+        for extra in (["--eta", "3"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, "fit", str(planted_csv),
+                                 "--label", "label", "--task", "regression",
+                                 "--method", "lasso",
+                                 "--outdir", str(tmp_path / "out"), *extra)
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --eta" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_lambda_grid_feeds_the_unpinned_enet_penalty(
+            self, capsys, planted_csv, tmp_path):
+        code, out, err = run(capsys, "fit", str(planted_csv),
+                             "--label", "label", "--task", "regression",
+                             "--method", "enet", "--lambda1", "0.5",
+                             "--lambda-grid", "0.1,1", "--json",
+                             "--outdir", str(tmp_path))
+        assert (code, err) == (0, "")
+        selected = json.loads(out)["selected"]
+        assert selected["lam1"] == 0.5 and selected["lam2"] in (0.1, 1.0)
 
     def test_coefficient_names_are_quoted(self, capsys, tmp_path):
         rng = np.random.default_rng(15)
@@ -401,11 +421,19 @@ class TestFit:
          "--split: fractions must sum to 1, got 1.1"),
         (["--split", "0.5,x,0.2"],
          "--split: could not convert string to float: 'x'"),
-        (["--eta", "nan"], "eta must lie in (1, inf), got nan"),
         (["--tol", "inf"], "tol must lie in (0, inf), got inf"),
+        (["--k-grid", "3"], "--k-grid feeds no searched --lasso axis"),
+        (["--method", "sparc", "--k", "5", "--k-grid", "3"],
+         "--k-grid feeds no searched --sparc axis"),
+        (["--lambda1", "0.5", "--lambda-grid", "0.1,1"],
+         "--lambda-grid feeds no searched --lasso axis"),
+        (["--method", "enet", "--lambda1", "0.5", "--lambda2", "0.5",
+          "--lambda-grid", "0.1,1"],
+         "--lambda-grid feeds no searched --enet axis"),
     ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
             "k-0", "empty-k-grid", "split-two", "split-sum", "split-token",
-            "eta-nan", "tol-inf"])
+            "tol-inf", "lasso-k-grid", "pinned-k-grid", "pinned-lambda-grid",
+            "pinned-enet-lambda-grid"])
     def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
                                                   bad, message):
         code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),

@@ -291,3 +291,13 @@ class TestReportArtifacts:
         bad.write_text(json.dumps(blob))
         with pytest.raises(ValueError):
             load_report(bad)
+
+    @pytest.mark.parametrize("blob, message", [
+        ([1, 2], "report is not a JSON object"),
+        ({"schema_version": 1}, "report has no field 'task'"),
+    ], ids=["array", "missing-field"])
+    def test_malformed_report_rejected(self, tmp_path, blob, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=message):
+            load_report(bad)

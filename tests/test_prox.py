@@ -524,7 +524,6 @@ _COUNTS = {
     "default_grids.k_grid": lambda k: default_grids(
         10, k_grid=[k]).sparc[0].k,
     "SolverConfig.max_outer": lambda k: SolverConfig(max_outer=k).max_outer,
-    "SolverConfig.max_inner": lambda k: SolverConfig(max_inner=k).max_inner,
     "run_repetitions.repetitions": lambda k: run_repetitions(
         _TINY, GridSpec(lasso=[Lasso(0.1)]), repetitions=k,
         methods=["lasso"]).repetitions,

@@ -170,18 +170,25 @@ def _parse_methods(text):
         return _check_methods(m.strip() for m in text.split(",") if m.strip())
 
 
-def _grid_axes(args, p):
-    """The axes of default_grids, with --lambda-grid and --k-grid applied."""
-    lam = (_parse_list(args.lambda_grid, "--lambda-grid")
-           if args.lambda_grid else None)
-    ks = (_parse_list(args.k_grid, "--k-grid", int)
-          if args.k_grid else None)
+def _grid_spec(args, methods, p, given):
+    """default_grids' grids of ``methods`` for p features, with
+    --lambda-grid and --k-grid replacing their axes and each given field
+    pinning its axis (a given k above p is clamped to p).  Refuses a grid
+    flag that no searched field of the methods reads."""
+    searched = {f.name for m in methods
+                for f in fields(_BY_METHOD[m])} - set(given)
+    lists = []
+    for flag, text, fed, cast in (
+            ("--lambda-grid", args.lambda_grid, searched - {"k"}, float),
+            ("--k-grid", args.k_grid, searched & {"k"}, int)):
+        if text and not fed:
+            raise CliError(f"{flag} feeds no searched "
+                           f"{' or '.join('--' + m for m in methods)} axis")
+        lists.append(_parse_list(text, flag, cast) if text else None)
     with _usage():
-        return _axes(p, lam_grid=lam, k_grid=ks)
-
-
-def _grids(methods, axes):
-    with _usage():
+        axes = _axes(p, *lists)
+        axes.update((name, (min(value, p) if name == "k" else value,))
+                    for name, value in given.items())
         return GridSpec(**{m: _method_grid(m, axes) for m in methods})
 
 
@@ -196,7 +203,7 @@ def cmd_synth(args):
     with _usage():
         _check_count(args.reps, "--reps")
     spec = SyntheticSpec()
-    grids = _grids(methods, _grid_axes(args, spec.p))
+    grids = _grid_spec(args, methods, spec.p, {})
     report = run_repetitions(
         spec, grids, config=cfg, repetitions=args.reps,
         master_seed=args.seed, methods=methods,
@@ -224,15 +231,6 @@ def _parse_fractions(text):
         return tuple(_check_fractions(_parse_list(text, "--split")))
 
 
-def _fit_grid(args, p, given):
-    """default_grids' grid for --method, with the given parameters pinning
-    their axis; a given k above p is clamped to p."""
-    axes = _grid_axes(args, p)
-    axes.update((name, (min(value, p) if name == "k" else value,))
-                for name, value in given.items())
-    return _grids((args.method,), axes)
-
-
 def _write_coefficients(path, names, e, scales):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # csv quotes a name only when it must, such as one holding a comma
@@ -255,14 +253,9 @@ def cmd_fit(args):
     if args.screen is not None:
         with _usage():
             _check_count(args.screen, "--screen")
-    # check every penalty value and k before reading the CSV: a grid for
-    # one feature holds them all (the k axis for the real p comes later)
-    free = {f.name for f in fields(_BY_METHOD[args.method])} - set(given)
-    for flag, text, fed in (("--lambda-grid", args.lambda_grid, free - {"k"}),
-                            ("--k-grid", args.k_grid, free & {"k"})):
-        if text and not fed:
-            raise CliError(f"{flag} feeds no searched --{args.method} axis")
-    _fit_grid(args, 1, given)
+    # a grid for one feature checks every grid flag, penalty value and k
+    # before the CSV is read (the k axis for the real p comes later)
+    _grid_spec(args, (args.method,), 1, given)
     ds = load_csv(args.csv, args.label, args.task)
     with _usage():
         ds = split_dataset(ds, fractions, args.seed)
@@ -270,7 +263,7 @@ def cmd_fit(args):
     if args.screen is not None:
         ds, kept = top_correlation_screen(ds, args.screen)
     ds, scales = normalize_dataset(ds, args.normalization)
-    grids = _fit_grid(args, ds.p, given)
+    grids = _grid_spec(args, (args.method,), ds.p, given)
     reg, e = grid_search(ds, grids.grid_for(args.method), cfg)
     report = compute_report(ds, e, average=args.metric_mean)
 
@@ -423,8 +416,9 @@ def build_parser():
     return parser
 
 
-def _config_tokens(path):
-    """Turn key=value lines into argv tokens (booleans become bare flags)."""
+def _config_tokens(path, parser):
+    """Turn key=value lines into argv tokens (booleans become bare flags);
+    a key must name a flag of ``parser``."""
     toks = []
     with open(path, encoding="utf-8") as fh:
         for i, raw in enumerate(fh, start=1):
@@ -438,6 +432,9 @@ def _config_tokens(path):
                     f"{path} line {i}: expected key=value, got {raw.rstrip()!r}"
                 )
             flag = "--" + key.replace("_", "-")
+            if flag not in parser._option_string_actions:
+                raise CliError(f"{path} line {i}: unknown key {key!r}: "
+                               f"{parser.prog} has no {flag} flag")
             if value.lower() == "true":
                 toks.append(flag)
             elif value.lower() == "false":
@@ -447,22 +444,29 @@ def _config_tokens(path):
     return toks
 
 
-def _expand_config(argv):
+def _expand_config(argv, parser):
     """Insert config-file tokens after the subcommand so real flags win.
-    A second --config is refused; argparse reports a bare one at the end."""
+    A second --config is refused; argparse reports a bare one at the end,
+    and an unknown subcommand."""
     paths = [argv[i + 1] for i, tok in enumerate(argv[:-1])
              if tok == "--config"]
     paths += [tok.split("=", 1)[1] for tok in argv
               if tok.startswith("--config=")]
     if len(paths) > 1:
         raise CliError("--config given more than once")
-    return argv[:1] + _config_tokens(paths[0]) + argv[1:] if paths else argv
+    # argparse keeps the subcommand parsers, and their flags, private
+    commands = next(a.choices for a in parser._actions
+                    if a.dest == "command")
+    if not paths or argv[0] not in commands:
+        return argv
+    return argv[:1] + _config_tokens(paths[0], commands[argv[0]]) + argv[1:]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_expand_config(argv))
+        parser = build_parser()
+        args = parser.parse_args(_expand_config(argv, parser))
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, or a usage error
         return exc.code

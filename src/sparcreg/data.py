@@ -713,7 +713,7 @@ def top_correlation_screen(ds, m):
     At, yt = ds.part("train")
     Ac = At - At.mean(axis=0)
     yc = yt - yt.mean()
-    sx = np.sqrt((Ac * Ac).sum(axis=0))
+    sx = _column_norms(Ac)
     sy = np.sqrt(yc @ yc)
     denom = sx * sy
     corr = np.where(denom > 0, Ac.T @ yc / np.where(denom > 0, denom, 1.0),

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -65,9 +66,30 @@ TABLE_METRICS = {
 SCHEMA_VERSION = 1
 
 
+def _refuse_repeats(values, what):
+    """ValueError naming the first value that occurs more than once."""
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ValueError(f"{what} repeats {repeated[0]}")
+
+
+def _check_grid(grid, method=None):
+    """The grid as a tuple of distinct regularizers, of ``method`` if
+    given; TypeError for a point of another kind, ValueError for a repeat."""
+    grid = tuple(grid)
+    what = f"{method or 'the'} grid"
+    expected = _BY_METHOD[method] if method else Regularizer
+    for reg in grid:
+        if not isinstance(reg, expected):
+            raise TypeError(f"{what} holds {type(reg).__name__}, "
+                            f"expected {expected.__name__}")
+    _refuse_repeats(grid, what)
+    return grid
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-method hyperparameter grids, each a tuple of regularizers."""
+    """Per-method grids, each a tuple of distinct regularizers of it."""
 
     lasso: tuple = ()
     enet: tuple = ()
@@ -76,14 +98,8 @@ class GridSpec:
 
     def __post_init__(self):
         for name in METHOD_NAMES:
-            grid = tuple(getattr(self, name))
-            for reg in grid:
-                if not (isinstance(reg, Regularizer) and reg.method == name):
-                    raise TypeError(
-                        f"{name} grid holds {type(reg).__name__}, "
-                        f"expected {_BY_METHOD[name].__name__}"
-                    )
-            object.__setattr__(self, name, grid)
+            object.__setattr__(self, name,
+                               _check_grid(getattr(self, name), name))
 
     def grid_for(self, method):
         _check_methods((method,))
@@ -107,21 +123,17 @@ def _check_methods(methods):
 
 def _axes(p, lam_grid=None, k_grid=None):
     """The axis of each regularizer field, as ``default_grids`` sets them."""
-    if lam_grid is None:
-        lam_grid = np.logspace(-3, 1, 10)
-    lam = tuple(sorted((float(v) for v in np.asarray(lam_grid, dtype=float)),
-                       reverse=True))
-    if not lam:
-        raise ValueError("empty penalty grid")
-    if k_grid is None:
-        k_grid = (5, 10, 15, 20, 25)
-    k_grid = [_check_count(k, "k") for k in k_grid]
-    if not k_grid:
-        raise ValueError("empty sparsity grid")
+    lam = [float(v) for v in np.asarray(
+        np.logspace(-3, 1, 10) if lam_grid is None else lam_grid, dtype=float)]
+    k_grid = [_check_count(k, "k") for k in
+              ((5, 10, 15, 20, 25) if k_grid is None else k_grid)]
+    for name, axis in (("penalty", lam), ("sparsity", k_grid)):
+        if not axis:
+            raise ValueError(f"empty {name} grid")
+        _refuse_repeats(axis, f"{name} grid")
+    lam = tuple(sorted(lam, reverse=True))
     ks = tuple(sorted((k for k in k_grid if k <= p), reverse=True))
-    if not ks:
-        ks = (int(p),)
-    return {"lam1": lam, "lam2": lam, "lam": lam, "k": ks}
+    return {"lam1": lam, "lam2": lam, "lam": lam, "k": ks or (int(p),)}
 
 
 def _method_grid(method, axes):
@@ -138,8 +150,8 @@ def default_grids(p, lam_grid=None, k_grid=None):
     The scalar penalties share a 10-point logarithmic grid from 1e-3 to
     10; two-parameter methods take the full product.  The sparsity levels
     default to {5, 10, 15, 20, 25} filtered to k <= p, or (p,) when every
-    level exceeds p.  An empty grid, or a level that is not a positive
-    integer, raises ValueError.
+    level exceeds p.  An empty grid, a repeated value or a level that is
+    not a positive integer raises ValueError, before p filters the levels.
 
     Grid order is part of the design: every axis sweeps from strong to
     weak regularization, so warm starts follow the usual continuation
@@ -161,10 +173,10 @@ def grid_search(ds, grid, config=None):
     validation accuracy (higher wins).  Ties go to the sparser solution,
     then to the earlier grid point.  Returns (regularizer, coefficients).
 
-    Duplicate grid points are served from a cache, so they reuse the
-    earlier solution verbatim and can never displace it.
+    Before the first solve, a point that is not a ``Regularizer`` raises
+    TypeError, and an empty grid or a repeated point ValueError.
     """
-    grid = tuple(grid)
+    grid = _check_grid(grid)
     if not grid:
         raise ValueError("hyperparameter grid is empty")
     # one Objective checks the train rows and holds them, copied at most
@@ -175,17 +187,10 @@ def grid_search(ds, grid, config=None):
     if train.A.shape[0] == 0 or A_val.shape[0] == 0:
         raise ValueError("train and validation splits must be non-empty")
 
-    cache = {}
-    x_warm = None
+    e = None  # each fit warm-starts from the previous one
     best = None  # (score, nnz, index, reg, coefficients)
     for idx, reg in enumerate(grid):
-        if reg in cache:
-            e = cache[reg]
-        else:
-            res = sparsa_solve(train._with_reg(reg), x0=x_warm, config=config)
-            e = res.x
-            cache[reg] = e
-        x_warm = e
+        e = sparsa_solve(train._with_reg(reg), x0=e, config=config).x
         if ds.task == "classification":
             score = -cla(A_val, y_val, e)
         else:

@@ -57,10 +57,13 @@ def _as_vector(v, name="v", size=None):
 
 
 def _check_nonneg(value, name):
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and non-negative, got {value}")
-    return value
+    """float(value) for a finite value >= 0 that is not a boolean;
+    anything else raises."""
+    if not isinstance(value, (bool, np.bool_)):
+        value = float(value)
+        if math.isfinite(value) and value >= 0:
+            return value
+    raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def _check_count(value, name):

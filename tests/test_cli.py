@@ -167,6 +167,24 @@ class TestSynth:
         assert err == f"error: k must be a positive integer, got {bad}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("grid_args, message", [
+        (["--methods", "lasso", "--k-grid", "3", "--lambda-grid", "1"],
+         "--k-grid feeds no searched --lasso axis"),
+        (["--methods", "lasso,oscar", "--k-grid", "3"],
+         "--k-grid feeds no searched --lasso or --oscar axis"),
+        (["--methods", "lasso", "--lambda-grid", "1,0.5,1"],
+         "penalty grid repeats 1.0"),
+        (["--methods", "sparc", "--k-grid", "50,3,50"],
+         "sparsity grid repeats 50"),
+    ], ids=["lasso-k-grid", "two-methods-k-grid", "repeated-lambda",
+            "repeated-k"])
+    def test_grid_rule_matches_fit(self, capsys, tmp_path, grid_args,
+                                   message):
+        code, out, err = run(capsys, "synth", "--reps", "1", *grid_args,
+                             "--outdir", str(tmp_path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--reps", "1",
                            "--methods", "lasso", "--lambda-grid", "1",
@@ -260,13 +278,17 @@ class TestFit:
                                               tmp_path):
         cfg = tmp_path / "fit.cfg"
         cfg.write_text("eta=3\n")
-        for extra in (["--eta", "3"], ["--config", str(cfg)]):
+        for extra, message in (
+                (["--eta", "3"], "unrecognized arguments: --eta 3\n"),
+                (["--config", str(cfg)], f"error: {cfg} line 1: unknown key "
+                                         f"'eta': sparcreg fit has no --eta "
+                                         f"flag\n")):
             code, out, err = run(capsys, "fit", str(planted_csv),
                                  "--label", "label", "--task", "regression",
                                  "--method", "lasso",
                                  "--outdir", str(tmp_path / "out"), *extra)
             assert (code, out) == (2, "")
-            assert "unrecognized arguments: --eta" in err
+            assert err.endswith(message)
         assert not (tmp_path / "out").exists()
 
     def test_lambda_grid_feeds_the_unpinned_enet_penalty(
@@ -430,10 +452,12 @@ class TestFit:
         (["--method", "enet", "--lambda1", "0.5", "--lambda2", "0.5",
           "--lambda-grid", "0.1,1"],
          "--lambda-grid feeds no searched --enet axis"),
+        (["--lambda-grid", "1,1"], "penalty grid repeats 1.0"),
+        (["--method", "sparc", "--k-grid", "5,5"], "sparsity grid repeats 5"),
     ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
             "k-0", "empty-k-grid", "split-two", "split-sum", "split-token",
             "tol-inf", "lasso-k-grid", "pinned-k-grid", "pinned-lambda-grid",
-            "pinned-enet-lambda-grid"])
+            "pinned-enet-lambda-grid", "repeated-lambda", "repeated-k"])
     def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
                                                   bad, message):
         code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),
@@ -660,6 +684,24 @@ class TestConfigFile:
                            "--config", str(cfg))
         assert code == 2
         assert "line 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["prox", "--lasso", "--vec", "1"],
+        ["synth", "--reps", "1", "--methods", "lasso", "--lambda-grid", "1"],
+        ["describe", "nope.csv"],
+    ], ids=["prox", "synth", "describe"])
+    def test_unknown_key_reports_location(self, capsys, tmp_path,
+                                          monkeypatch, argv):
+        # a key of another subcommand is refused before argparse or the
+        # subcommand runs
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("# defaults\njson=true\nscreen=5\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg} line 3: unknown key 'screen': "
+                       f"sparcreg {argv[0]} has no --screen flag\n")
+        assert not (tmp_path / "report.csv").exists()
 
     def test_repeated_config_rejected(self, capsys, tmp_path):
         a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"

@@ -874,6 +874,21 @@ class TestCorrelationScreen:
         ds, keep = top_correlation_screen(base, 10)
         npt.assert_array_equal(ds.x_true, base.x_true[keep])
 
+    def test_huge_column_keeps_its_rank(self):
+        # squares of cells near 1e200 overflow; the norm must not
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=60)
+        A = rng.normal(size=(60, 4))
+        A[:, 0] = y + 0.1 * A[:, 0]
+        A[:, 0] *= 1e200
+        split = np.asarray(["train"] * 40 + ["validation"] * 10
+                           + ["test"] * 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds, keep = top_correlation_screen(
+                Dataset(A, y, "regression", split=split), 1)
+        npt.assert_array_equal(keep, [0])
+
     def test_invalid_m(self):
         for m in (0, 2.5, float("inf")):
             with pytest.raises(ValueError,

@@ -82,6 +82,16 @@ class TestDefaultGrids:
         with pytest.raises(ValueError, match="got -3"):
             default_grids(10, k_grid=[4, -3])
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"lam_grid": [1.0, 0.5, 1]}, "penalty grid repeats 1.0"),
+        ({"k_grid": [4, 2, 4]}, "sparsity grid repeats 4"),
+        # refused before the levels above p are dropped
+        ({"k_grid": [50, 50]}, "sparsity grid repeats 50"),
+    ], ids=["lambda", "k", "k-above-p"])
+    def test_repeated_value_rejected(self, axes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_grids(10, **axes)
+
     def test_k_above_p_still_falls_back_to_p(self):
         assert {r.k for r in default_grids(10, k_grid=[12, 40]).sparc} \
             == {10}
@@ -97,6 +107,11 @@ class TestGridSpec:
     def test_grid_for_unknown_method(self):
         with pytest.raises(ValueError):
             GridSpec().grid_for("ridge")
+
+    def test_repeated_point_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^sparc grid repeats Sparc\(lam=1.0, k=4\)$"):
+            GridSpec(sparc=(Sparc(1.0, 4), Sparc(0.5, 4), Sparc(1, 4.0)))
 
 
 class TestGridSearch:
@@ -141,6 +156,23 @@ class TestGridSearch:
         ds = generate_synthetic(_tiny_spec())
         with pytest.raises(ValueError):
             grid_search(ds, ())
+
+    @pytest.mark.parametrize("grid, error, message", [
+        ((Lasso(1.0), Oscar(1.0, 0.1), Lasso(1.0)), ValueError,
+         r"^the grid repeats Lasso\(lam1=1.0\)$"),
+        ((Lasso(1.0), 0.5), TypeError,
+         "^the grid holds float, expected Regularizer$"),
+    ], ids=["repeated-point", "not-a-regularizer"])
+    def test_bad_grid_rejected_before_any_solve(self, monkeypatch, grid,
+                                                error, message):
+        from sparcreg.data import generate_synthetic
+        solved = []
+        monkeypatch.setattr(experiment, "sparsa_solve",
+                            lambda obj, **kwargs: solved.append(obj))
+        ds = generate_synthetic(_tiny_spec())
+        with pytest.raises(error, match=message):
+            grid_search(ds, grid)
+        assert solved == []
 
     def test_design_checked_once_per_search(self, monkeypatch):
         # every grid point's Objective shares the train one's checked arrays

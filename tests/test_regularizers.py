@@ -36,6 +36,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Sparc(1.0, 0)
 
+    @pytest.mark.parametrize("flag", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("build, name", [
+        (lambda w: Lasso(w), "lam1"),
+        (lambda w: ElasticNet(0.5, w), "lam2"),
+        (lambda w: Oscar(w, 0.1), "lam1"),
+        (lambda w: Oscar(0.5, w), "lam2"),
+        (lambda w: Sparc(w, 2), "lam"),
+    ], ids=["lasso", "enet-lam2", "oscar-lam1", "oscar-lam2", "sparc"])
+    def test_boolean_weight_rejected(self, build, name, flag):
+        # True == 1, but a flag is not a penalty weight
+        with pytest.raises(ValueError, match=f"^{name} must be finite and "
+                                             f"non-negative, got True$"):
+            build(flag)
+
     def test_frozen(self):
         reg = Lasso(1.0)
         with pytest.raises(AttributeError):

@@ -24,10 +24,23 @@ class TestFingerprints:
                             r"sha256=[0-9a-f]{64}\n", out.stdout)
         assert not workdir.exists()
 
+    def test_against_the_same_tree_agrees(self, tmp_path):
+        workdir = tmp_path / "work"
+        out = _run("--against", str(ROOT / "src"), "--workload", "csv-fit",
+                   "--seed", "3", "--workdir", str(workdir))
+        assert out.returncode == 0, out.stderr
+        heading, theirs, heading2, ours = out.stdout.splitlines()
+        assert (heading, heading2) == (f"{ROOT / 'src'}:",
+                                       f"{ROOT / 'src'}:")
+        assert theirs == ours and ours.startswith("csv-fit seed=3 tasks=3 ")
+        assert not workdir.exists()
+
     @pytest.mark.parametrize("args, workdir, message", [
         (("--workload", "nope"), "new", "unknown workload"),
         ((), "", "exists"),
-    ], ids=["unknown-workload", "existing-workdir"])
+        (("--against", str(ROOT / "tools")), "new",
+         "holds no sparcreg package"),
+    ], ids=["unknown-workload", "existing-workdir", "against-no-package"])
     def test_refuses(self, tmp_path, args, workdir, message):
         out = _run(*args, "--workdir", str(tmp_path / workdir))
         assert out.returncode != 0 and message in out.stderr

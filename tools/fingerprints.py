@@ -14,11 +14,17 @@ byte is checked by running this once on each tree and comparing:
     python3 tools/fingerprints.py > change.txt
     diff parent.txt change.txt
 
+or in one call, which prints both trees' lines and exits 1 when any
+line differs:
+
+    python3 tools/fingerprints.py --against ../parent/src
+
 The workloads come from this tree's ``bench/workloads.py``, imported
 unchanged.  The BLAS thread count is pinned to 1 before numpy
 loads, as in ``bench/run.py``.  Tasks write into a fixed work directory,
 so that no output path differs between the two runs; it must not exist
-beforehand, and it is removed afterwards.
+beforehand, and it is removed afterwards.  Under ``--against`` the other
+tree runs first, in a child process, and uses the work directory in turn.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import warnings  # noqa: E402
@@ -45,6 +52,9 @@ def parse_args(argv):
     p.add_argument("--src", type=Path, default=ROOT / "src",
                    help="directory holding the sparcreg package "
                         "(default: this tree's src/)")
+    p.add_argument("--against", type=Path,
+                   help="another directory holding a sparcreg package: "
+                        "run it too and exit 1 unless every line agrees")
     p.add_argument("--workload", action="append",
                    help="workload name, repeatable (default: every one)")
     p.add_argument("--seed", type=int, action="append",
@@ -53,6 +63,12 @@ def parse_args(argv):
                    default=Path(tempfile.gettempdir()) / "sparcreg-fingerprints",
                    help="fixed work directory, created and removed here")
     return p.parse_args(argv)
+
+
+def check_tree(src):
+    """Refuse a directory without a sparcreg package before any run."""
+    if not (src / "sparcreg" / "__init__.py").is_file():
+        raise SystemExit(f"error: {src} holds no sparcreg package")
 
 
 def import_library(src):
@@ -80,8 +96,28 @@ def digest(cls, seed, workdir):
     return len(fps), len(caught), hashlib.sha256(repr(fps).encode()).hexdigest()
 
 
+def run_against(args):
+    """This tool's lines for the tree ``args.against``, from a child
+    process that runs the same workloads and seeds in the same work
+    directory."""
+    cmd = [sys.executable, __file__, "--src", str(args.against),
+           "--workdir", str(args.workdir)]
+    for name in args.workload or ():
+        cmd += ["--workload", name]
+    for seed in args.seed or ():
+        cmd += ["--seed", str(seed)]
+    out = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    if out.returncode != 0:
+        raise SystemExit(f"error: the run against {args.against} "
+                         f"exited {out.returncode}")
+    return out.stdout.splitlines()
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    for src in (args.src, args.against):
+        if src is not None:
+            check_tree(src)
     if args.workdir.exists():
         raise SystemExit(f"error: work directory {args.workdir} exists; "
                          f"remove it or pass another --workdir")
@@ -93,11 +129,21 @@ def main(argv=None):
     if unknown:
         raise SystemExit(f"error: unknown workload(s) {sorted(unknown)}; "
                          f"choose from {sorted(WORKLOADS)}")
+    if args.against is not None:
+        theirs = run_against(args)
+        print(f"{args.against}:", *theirs, f"{args.src}:", sep="\n",
+              flush=True)
+    ours = []
     for name in args.workload or sorted(WORKLOADS):
         for seed in args.seed or (0, 7919):
             tasks, warned, sha = digest(WORKLOADS[name], seed, args.workdir)
-            print(f"{name} seed={seed} tasks={tasks} warnings={warned} "
-                  f"sha256={sha}", flush=True)
+            ours.append(f"{name} seed={seed} tasks={tasks} "
+                        f"warnings={warned} sha256={sha}")
+            print(ours[-1], flush=True)
+    if args.against is not None and ours != theirs:
+        print(f"error: {args.src} and {args.against} differ",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -418,7 +418,7 @@ def build_parser():
 
 def _config_tokens(path, parser):
     """Turn key=value lines into argv tokens (booleans become bare flags);
-    a key must name a flag of ``parser``."""
+    a key must name a flag of ``parser`` other than --config."""
     toks = []
     with open(path, encoding="utf-8") as fh:
         for i, raw in enumerate(fh, start=1):
@@ -432,6 +432,10 @@ def _config_tokens(path, parser):
                     f"{path} line {i}: expected key=value, got {raw.rstrip()!r}"
                 )
             flag = "--" + key.replace("_", "-")
+            if flag == "--config":
+                # _expand_config reads the command line's file only
+                raise CliError(f"{path} line {i}: a config file cannot "
+                               f"name another")
             if flag not in parser._option_string_actions:
                 raise CliError(f"{path} line {i}: unknown key {key!r}: "
                                f"{parser.prog} has no {flag} flag")

@@ -26,12 +26,9 @@ import numpy as np
 
 from .data import (
     ClassificationSpec,
-    Dataset,
     SyntheticSpec,
     generate_grouped_classification,
     generate_synthetic,
-    normalize_dataset,
-    split_dataset,
 )
 from .metrics import METRIC_NAMES, cla, compute_report, nnz
 from .prox import _check_count
@@ -208,11 +205,10 @@ def _reg_to_dict(reg):
 
 
 # each source type, its kind in the config echo and its generator, run at
-# each repetition's seed; None for a Dataset, re-split at each repetition
+# each repetition's seed
 _SOURCES = ((SyntheticSpec, "synthetic-regression", generate_synthetic),
             (ClassificationSpec, "synthetic-classification",
-             generate_grouped_classification),
-            (Dataset, "dataset", None))
+             generate_grouped_classification))
 
 
 def _one_repetition(ds, grids, cfg, methods, average, keep_estimates):
@@ -276,13 +272,11 @@ class BenchmarkReport:
 
 
 def run_repetitions(source, grids, config=None, repetitions=50,
-                    master_seed=0, methods=METHOD_NAMES,
-                    fractions=(0.5, 0.3, 0.2), normalization="l2",
-                    average=False):
+                    master_seed=0, methods=METHOD_NAMES, average=False):
     """Run the benchmark ``repetitions`` times and aggregate test metrics.
 
-    Repetition r uses seed ``master_seed + r`` to regenerate synthetic
-    data (or to re-split and re-normalize a fixed Dataset source).  A
+    ``source`` is a ``SyntheticSpec`` or a ``ClassificationSpec``;
+    repetition r generates its data at seed ``master_seed + r``.  A
     solver failure marks that (method, repetition) cell as failed and the
     loop continues; failed cells are excluded from the mean/std but stay
     visible in the report.
@@ -298,15 +292,10 @@ def run_repetitions(source, grids, config=None, repetitions=50,
     if kind is None:
         raise TypeError(f"unsupported source {type(source).__name__}")
 
-    def materialize(seed):
-        if generate is not None:
-            return generate(replace(source, seed=seed))
-        ds = split_dataset(source, fractions, seed)
-        return normalize_dataset(ds, normalization)[0]
-
     reps = [
-        _one_repetition(materialize(master_seed + r), grids, cfg, methods,
-                        average, keep_estimates=(r == 0))
+        _one_repetition(generate(replace(source, seed=master_seed + r)),
+                        grids, cfg, methods, average,
+                        keep_estimates=(r == 0))
         for r in range(repetitions)
     ]
 
@@ -341,11 +330,10 @@ def run_repetitions(source, grids, config=None, repetitions=50,
         "solver": asdict(cfg),
         "grids": {m: [_reg_to_dict(r) for r in grids.grid_for(m)]
                   for m in methods},
-        "source": ({"kind": kind, **asdict(source)} if generate else
-                   {"kind": kind, "n": int(source.n), "p": int(source.p),
-                    "task": source.task}),
-        "fractions": None if generate else [float(v) for v in fractions],
-        "normalization": "l2" if generate else normalization,
+        "source": {"kind": kind, **asdict(source)},
+        # echoes of the generated data's fixed split and normalization
+        "fractions": None,
+        "normalization": "l2",
         "average": bool(average),
     }
     return BenchmarkReport(

@@ -14,10 +14,11 @@ A x - y of each candidate gives both its objective value and, once it is
 accepted, the next gradient, so an outer iteration costs one product with
 A per candidate, one with A^T, and one with A for the BB step.
 
-From 2**16 design entries on, products with A run over the support of x
-(``_times_A``) and A^T r over the coordinates the prox can move
-(``_GradientScreen``); each candidate is one ``_Step``.  Their docstrings
-give the rules, README "Large designs" the measurements.
+Each solve builds one ``_Solve``, which holds its products with A and A^T,
+its candidate step and its ``SolverStats``, and decides the size rule once:
+from 2**16 design entries on, products with A run over the support of x
+and A^T r over the coordinates the prox can move.  Its docstring gives the
+rules, README "Large designs" the measurements.
 """
 
 from __future__ import annotations
@@ -202,145 +203,15 @@ def _support(x):
     return (x != 0).nonzero()[0]
 
 
-def _times_A(obj, x, stats=None, support=None):
-    """A x; from 2**16 entries on, over the columns where x is nonzero,
-    unless it has more than p / 4 of them.  ``support``, where the caller
-    knows it, holds those columns in ascending order and spares the scan
-    of x.  Either product may differ in the last bit from ``A @ x`` of a
-    row-major A."""
-    A = obj.A
-    if obj.col_norms is not None:
-        if support is None:
-            support = _support(x)
-        if support.size <= _SUPPORT_PRODUCTS_MAX_FRACTION * x.size:
-            if stats is not None:
-                stats.A_gathered += 1
-            return A[:, support] @ x[support]
-    if stats is not None:
-        stats.A_dense += 1
-    return A @ x
-
-
 def objective_value(obj, x):
     """F(x) = 0.5*||A x - y||^2 + penalty(x)."""
-    return _residual_and_objective(
-        obj, _as_vector(x, "x", obj.A.shape[1]))[1]
-
-
-def _residual_and_objective(obj, x, stats=None):
-    """Residual A x - y and F(x), sharing one product with A; x is unchecked.
-    A data term past the float range is F = inf, without numpy's warning."""
-    r = _times_A(obj, x, stats) - obj.y
-    with np.errstate(over="ignore"):
-        f = 0.5 * float(r @ r)
-    return r, f + _penalty(obj.reg.terms(), x)
+    return _Solve(obj).residual(_as_vector(x, "x", obj.A.shape[1]))[1]
 
 
 def gradient_smooth(obj, x):
     """Gradient of the data term: A^T (A x - y)."""
     x = _as_vector(x, "x", obj.A.shape[1])
     return obj.A.T @ (obj.A @ x - obj.y)
-
-
-class _GradientScreen:
-    """A^T r of one solve, computed only on the coordinates the prox can
-    move.
-
-    Keeps the last dense gradient g_ref = A^T r_ref.  With c_j = ||A_j||
-    and delta = ||r - r_ref||, every entry obeys
-    |g_j - g_ref_j| <= c_j * delta.  The radius adds to delta a rounding
-    slack of 4 (n + 4) eps (||r|| + ||r_ref||), which covers the error of
-    both computed products (n eps / 2 times c_j ||r|| each), of the
-    computed norms and of the bounds themselves with room to spare.  An
-    entry is computed when x_j is nonzero or its bound can reach the prox's
-    zero threshold, and the step runs on those coordinates E alone; with
-    every other entry 0, its prox would come out the same, up to the sign
-    of a zero:
-
-    * without a cap the threshold is the l1 weight: an entry with
-      |g_j| <= l1 and x_j = 0 soft-thresholds to 0, and the OSCAR prox
-      never sorts it;
-    * under a cap k, an off-support entry whose upper bound lies strictly
-      (a few ulps) below the k-th largest off-support lower bound is beaten
-      by k computed entries at every alpha, so it never enters the top k.
-
-    When more than p / 4 entries would be computed, the product is the
-    dense one, and it becomes the new reference.
-    """
-
-    def __init__(self, obj, l1, k):
-        n, p = obj.A.shape
-        self.At = obj.A.T  # row-major: gathering its rows is a take
-        self.col_norms = obj.col_norms
-        self.l1 = l1
-        self.k = k
-        self.p = p
-        self.cut = _SUPPORT_PRODUCTS_MAX_FRACTION * p
-        self.slack = 4 * (n + 4) * _EPS
-        self.mags = None  # |g_ref|; None until the first dense product
-        self.r_ref = None
-        self.r_ref_norm = 0.0
-
-    @classmethod
-    def of(cls, obj):
-        """The screen of obj's solve, or None where no entry can be skipped:
-        below the size rule, with l1 = 0 and no cap, and under a cap k above
-        p / 4, where the k beating entries alone pass the cut."""
-        if obj.col_norms is None:
-            return None
-        l1, _, _, k = obj.reg.terms()
-        if k is None and l1 == 0 or k is not None \
-                and k > _SUPPORT_PRODUCTS_MAX_FRACTION * obj.A.shape[1]:
-            return None
-        return cls(obj, l1, k)
-
-    def gradient(self, support, r, stats):
-        if self.mags is not None:
-            cols = self._columns(support, r)
-            if cols is not None:
-                stats.At_screened += 1
-                stats.At_columns += cols.size
-                # the rows of the row-major A^T, not A[:, cols]: the same
-                # bytes, ~15% faster at 450 of 200 x 10 000 columns
-                return cols, self.At[cols] @ r
-        stats.At_dense += 1
-        g = self.At @ r
-        self.mags = np.abs(g)
-        self.r_ref = r
-        self.r_ref_norm = math.sqrt(r @ r)
-        return None, g
-
-    def _columns(self, support, r):
-        """The coordinates to compute, or None if there are more than p / 4."""
-        d = r - self.r_ref
-        rad = math.sqrt(d @ d) \
-            + self.slack * (math.sqrt(r @ r) + self.r_ref_norm)
-        width = self.col_norms * rad
-        if self.k is None:
-            keep = self.mags + width > self.l1
-        else:
-            low = self.mags - width
-            low[support] = -np.inf
-            kth = np.partition(low, self.p - self.k)[self.p - self.k]
-            if kth <= 0:
-                return None
-            high = self.mags + width
-            high *= 1 + 4 * _EPS  # strictly below, even after dividing by alpha
-            keep = high >= kth
-        keep[support] = True
-        if np.count_nonzero(keep) > self.cut:
-            return None
-        return keep.nonzero()[0]
-
-
-def _gradient(obj, support, r, screen, stats):
-    """A^T r as (cols, g): g holds the entries cols (ascending) of A^T r,
-    or all of them where cols is None; ``support`` is that of x.  Screened
-    through ``screen`` where there is one."""
-    if screen is None:
-        stats.At_dense += 1
-        return None, obj.A.T @ r
-    return screen.gradient(support, r, stats)
 
 
 def bb_step(s, A):
@@ -357,31 +228,142 @@ def bb_step(s, A):
     return float(As @ As) / ss
 
 
-class _Step:
-    """The candidate step of one solve: x+ = prox(x - g / alpha), with its
-    support, its residual A x+ - y and F(x+), each computed once.
+class _Solve:
+    """One solve of ``obj``: its products with A and A^T, its candidate
+    step, and what they cost (``stats``).  Vectors passed in are unchecked.
 
-    A gradient screened to the coordinates E makes a step on E alone.  The
-    full argument is 0 off E, and so is its prox: soft thresholding gives
-    0, the OSCAR prox sorts only magnitudes above l1 >= 0 (its weights
-    come from the OWL dimension p), and under a cap the screen leaves the
-    top k in E, whose ascending order keeps that of the stable sort (the
-    screen returns at least k coordinates).
+    The size rule is decided here, once: ``sparse`` holds from 2**16
+    design entries on (where ``obj.col_norms`` exists).  Then a product
+    with A runs over the columns where x is nonzero, unless it has more
+    than p / 4 of them, and either product may differ in the last bit from
+    ``A @ x`` of a row-major A.
+
+    A^T r is screened to the coordinates the prox can move.  The last
+    dense gradient g_ref = A^T r_ref is kept; with c_j = ||A_j|| and
+    delta = ||r - r_ref||, every entry obeys |g_j - g_ref_j| <= c_j * delta.
+    The radius adds to delta a rounding slack of 4 (n + 4) eps (||r|| +
+    ||r_ref||), which covers the error of both computed products (n eps / 2
+    times c_j ||r|| each), of the computed norms and of the bounds
+    themselves with room to spare.  An entry is computed when x_j is
+    nonzero or its bound can reach the prox's zero threshold, and the step
+    runs on those coordinates E alone; with every other entry 0, its prox
+    would come out the same, up to the sign of a zero:
+
+    * without a cap the threshold is the l1 weight: an entry with
+      |g_j| <= l1 and x_j = 0 soft-thresholds to 0, and the OSCAR prox
+      never sorts it;
+    * under a cap k, an off-support entry whose upper bound lies strictly
+      (a few ulps) below the k-th largest off-support lower bound is beaten
+      by k computed entries at every alpha, so it never enters the top k.
+
+    When more than p / 4 entries would be computed, the product is the
+    dense one, and it becomes the new reference.  ``screened`` is False
+    where no entry can be skipped: below the size rule, with l1 = 0 and no
+    cap, and under a cap k above p / 4, where the k beating entries alone
+    pass the cut.
     """
 
     def __init__(self, obj):
-        self.obj = obj
+        A = obj.A
+        n, p = A.shape
+        self.A = A
+        self.At = A.T  # row-major above the rule: gathering its rows is a take
+        self.y = obj.y
+        self.reg = obj.reg
         self.terms = _terms(obj.reg)
-        self.weights = _weights(self.terms, obj.A.shape[1])
+        self.weights = _weights(self.terms, p)
+        self.stats = SolverStats()
         self.sparse = obj.col_norms is not None
+        self.cut = _SUPPORT_PRODUCTS_MAX_FRACTION * p
+        l1, k = self.terms[0], self.terms[3]
+        self.screened = self.sparse and (l1 > 0 if k is None
+                                         else k <= self.cut)
+        self.col_norms = obj.col_norms
+        self.slack = 4 * (n + 4) * _EPS
+        self.mags = None  # |g_ref|; None until the first dense product
+        self.r_ref = None
+        self.r_ref_norm = 0.0
 
     def support(self, x):
         """The nonzeros of x, ascending; None below the size rule."""
         return _support(x) if self.sparse else None
 
-    def __call__(self, x, cols, g, alpha, stats):
-        """(x+, its support, A x+ - y, F(x+)) for the gradient g, given on
-        the coordinates cols (all where cols is None)."""
+    def times_A(self, x, support=None):
+        """A x.  ``support``, where the caller knows it, holds the nonzeros
+        of x in ascending order and spares the scan of x."""
+        if self.sparse:
+            if support is None:
+                support = _support(x)
+            if support.size <= self.cut:
+                self.stats.A_gathered += 1
+                return self.A[:, support] @ x[support]
+        self.stats.A_dense += 1
+        return self.A @ x
+
+    def residual(self, x):
+        """Residual A x - y and F(x), sharing one product with A.  A data
+        term past the float range is F = inf, without numpy's warning."""
+        r = self.times_A(x) - self.y
+        with np.errstate(over="ignore"):
+            f = 0.5 * float(r @ r)
+        return r, f + _penalty(self.terms, x)
+
+    def gradient(self, support, r):
+        """A^T r as (cols, g): g holds the entries cols (ascending) of
+        A^T r, or all of them where cols is None; ``support`` is that of
+        x."""
+        if self.mags is not None:
+            cols = self._columns(support, r)
+            if cols is not None:
+                self.stats.At_screened += 1
+                self.stats.At_columns += cols.size
+                # the rows of the row-major A^T, not A[:, cols]: the same
+                # bytes, ~15% faster at 450 of 200 x 10 000 columns
+                return cols, self.At[cols] @ r
+        self.stats.At_dense += 1
+        g = self.At @ r
+        if self.screened:
+            self.mags = np.abs(g)
+            self.r_ref = r
+            self.r_ref_norm = math.sqrt(r @ r)
+        return None, g
+
+    def _columns(self, support, r):
+        """The coordinates to compute, or None if there are more than p / 4."""
+        d = r - self.r_ref
+        rad = math.sqrt(d @ d) \
+            + self.slack * (math.sqrt(r @ r) + self.r_ref_norm)
+        width = self.col_norms * rad
+        l1, k = self.terms[0], self.terms[3]
+        if k is None:
+            keep = self.mags + width > l1
+        else:
+            p = self.mags.size
+            low = self.mags - width
+            low[support] = -np.inf
+            kth = np.partition(low, p - k)[p - k]
+            if kth <= 0:
+                return None
+            high = self.mags + width
+            high *= 1 + 4 * _EPS  # strictly below, even after dividing by alpha
+            keep = high >= kth
+        keep[support] = True
+        if np.count_nonzero(keep) > self.cut:
+            return None
+        return keep.nonzero()[0]
+
+    def step(self, x, cols, g, alpha):
+        """(x+, its support, A x+ - y, F(x+)) for x+ = prox(x - g / alpha),
+        the gradient g given on the coordinates cols (all where cols is
+        None), each computed once.
+
+        A gradient screened to the coordinates E makes a step on E alone.
+        The full argument is 0 off E, and so is its prox: soft thresholding
+        gives 0, the OSCAR prox sorts only magnitudes above l1 >= 0 (its
+        weights come from the OWL dimension p), and under a cap the screen
+        leaves the top k in E, whose ascending order keeps that of the
+        stable sort (the screen returns at least k coordinates).
+        """
         p = x.size
         # only a screened step names the OWL dimension p; a full step's
         # default, v.size, is p without the check of d
@@ -392,10 +374,11 @@ class _Step:
         try:
             # the one checked prox call of the candidate; a ValueError here
             # means its argument or the scaled penalty overflowed
-            out, mags = prox(self.obj.reg, v, alpha, d=d, magnitudes=True)
+            out, mags = prox(self.reg, v, alpha, d=d, magnitudes=True)
         except ValueError as exc:
             raise SolverDivergenceError(
                 f"prox step overflowed: {exc}") from None
+        stats = self.stats
         stats.candidates += 1
         stats.prox_entries += v.size
         if cols is None:
@@ -403,7 +386,7 @@ class _Step:
         else:
             x_new, support = np.zeros(p), cols[_support(out)]
             x_new[cols] = out
-        r = _times_A(self.obj, x_new, stats, support) - self.obj.y
+        r = self.times_A(x_new, support) - self.y
         if self.terms[1] is None and mags.size != p:
             # numpy's pairwise sum of |x| runs over all p entries, so a
             # screened step sums |x| itself
@@ -442,15 +425,16 @@ def sparsa_solve(obj, x0=None, config=None):
     argument, iterate or objective value, becomes non-finite.
     """
     cfg = config if config is not None else SolverConfig()
-    stats = SolverStats()
+    solve = _Solve(obj)
+    stats = solve.stats
     x = _initial_point(obj, x0)
-    r, f_x = _residual_and_objective(obj, x, stats)
+    r, f_x = solve.residual(x)
     if not math.isfinite(f_x):
         raise SolverDivergenceError(f"objective at start is {f_x}")
 
-    step = _Step(obj)
-    support = step.support(x)
-    screen = _GradientScreen.of(obj)
+    # bound once: the loop is call-bound at small p
+    times_A, gradient, step = solve.times_A, solve.gradient, solve.step
+    support = solve.support(x)
     alpha = _ALPHA_MIN
     trace = []
     termination = "max-iterations"
@@ -465,16 +449,15 @@ def sparsa_solve(obj, x0=None, config=None):
                 break
             # bb_step's ratio.  A s, not r - r_prev: the difference rounds
             # differently and moves alpha
-            As = _times_A(obj, s, stats)
+            As = times_A(s)
             alpha = min(max(float(As @ As) / ss, _ALPHA_MIN), _ALPHA_MAX)
-        cols, grad = _gradient(obj, support, r, screen, stats)
+        cols, grad = gradient(support, r)
 
         accepted = False
         best_x, best_f = None, np.inf
         for _ in range(_MAX_INNER):
             # a non-finite iterate makes its F non-finite (_price)
-            x_cand, support_cand, r_cand, f_cand = step(x, cols, grad, alpha,
-                                                        stats)
+            x_cand, support_cand, r_cand, f_cand = step(x, cols, grad, alpha)
             if not math.isfinite(f_cand):
                 raise SolverDivergenceError(
                     "iterate became non-finite during backtracking"

@@ -703,6 +703,17 @@ class TestConfigFile:
                        f"sparcreg {argv[0]} has no --screen flag\n")
         assert not (tmp_path / "report.csv").exists()
 
+    def test_nested_config_rejected(self, capsys, tmp_path):
+        # a config key named another file, which was never read
+        inner, outer = tmp_path / "inner.cfg", tmp_path / "outer.cfg"
+        inner.write_text("lambda1=2\n")
+        outer.write_text(f"# nested\nconfig={inner}\n")
+        code, out, err = run(capsys, "prox", "--lasso", "--vec", "3 0",
+                             "--config", str(outer))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {outer} line 2: a config file cannot "
+                       f"name another\n")
+
     def test_repeated_config_rejected(self, capsys, tmp_path):
         a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
         a.write_text("seed=3\n")

@@ -242,20 +242,15 @@ class TestRunRepetitions:
                    for e in rep.errors["lasso"])
         assert rep.per_repetition["lasso"] == [None, None]
 
-    def test_dataset_source_resplits_and_normalizes(self):
+    def test_dataset_source_rejected(self):
+        # a Dataset is fitted by grid_search or `sparcreg fit`; repetitions
+        # regenerate their data from a spec
         rng = np.random.default_rng(12)
         base = Dataset(rng.normal(size=(40, 5)), rng.normal(size=40),
                        "regression")
-        rep = run_repetitions(base, _tiny_grids(), repetitions=2,
-                              master_seed=3, methods=("lasso",),
-                              fractions=(0.5, 0.25, 0.25))
-        assert rep.config["source"]["kind"] == "dataset"
-        assert rep.config["fractions"] == [0.5, 0.25, 0.25]
-        assert rep.config["normalization"] == "l2"
-        assert rep.summary["lasso"]["failures"] == 0
-        # no ground truth: MAE/MSE/SER unavailable, DoF/NNZ still there
-        assert "MSE" not in rep.summary["lasso"]["mean"]
-        assert "NNZ" in rep.summary["lasso"]["mean"]
+        with pytest.raises(TypeError, match="unsupported source Dataset"):
+            run_repetitions(base, _tiny_grids(), repetitions=2,
+                            master_seed=3, methods=("lasso",))
 
     def test_argument_validation(self):
         for reps in (0, 2.5, float("nan")):

@@ -21,8 +21,7 @@ from sparcreg.solver import (
     SolverDivergenceError,
     _SUPPORT_PRODUCTS_MAX_FRACTION,
     _SUPPORT_PRODUCTS_MIN_SIZE,
-    _residual_and_objective,
-    _times_A,
+    _Solve,
     bb_step,
     gradient_smooth,
     objective_value,
@@ -31,6 +30,16 @@ from sparcreg.solver import (
 
 from oracles import (lasso_coordinate_descent, sparc_global_bruteforce,
                      sparc_penalty_direct)
+
+
+def _times_A(obj, x):
+    # the solver's product with A, outside a solve
+    return _Solve(obj).times_A(x)
+
+
+def _residual_and_objective(obj, x):
+    # the solver's (A x - y, F(x)), outside a solve
+    return _Solve(obj).residual(x)
 
 
 def _random_problem(rng, n, p):
@@ -533,14 +542,14 @@ class TestSupportProducts:
         obj = Objective(A, y, reg)
         p = A.shape[1]
         l1, _, _, k = reg.terms()
-        gradient, step = solver._gradient, solver._Step.__call__
+        gradient, step = _Solve.gradient, _Solve.step
         screened = []
 
-        def checked_gradient(obj, support, r, screen, stats):
-            before = stats.At_screened
-            cols, g = gradient(obj, support, r, screen, stats)
+        def checked_gradient(self, support, r):
+            before = self.stats.At_screened
+            cols, g = gradient(self, support, r)
             dense = obj.A.T @ r
-            if stats.At_screened == before:
+            if self.stats.At_screened == before:
                 assert cols is None
                 assert g.tobytes() == dense.tobytes()
                 return cols, g
@@ -563,7 +572,7 @@ class TestSupportProducts:
                 assert off[k - 1] > np.abs(dense[skipped]).max()
             return cols, g
 
-        def checked_step(self, x, cols, g, alpha, stats):
+        def checked_step(self, x, cols, g, alpha):
             if cols is not None:
                 # the prox of the step is that of the full vector with the
                 # computed entries, at any alpha
@@ -576,10 +585,10 @@ class TestSupportProducts:
                 for a in (1.0, 3.7, 50.0, 1e4):
                     assert np.array_equal(prox(reg, x - g_full / a, a),
                                           prox(reg, x - full / a, a))
-            return step(self, x, cols, g, alpha, stats)
+            return step(self, x, cols, g, alpha)
 
-        monkeypatch.setattr(solver, "_gradient", checked_gradient)
-        monkeypatch.setattr(solver._Step, "__call__", checked_step)
+        monkeypatch.setattr(_Solve, "gradient", checked_gradient)
+        monkeypatch.setattr(_Solve, "step", checked_step)
         res = sparsa_solve(obj)
         assert res.trace[-1] == objective_value(obj, res.x)
         assert np.all(np.diff(res.trace) <= 0)
@@ -712,17 +721,17 @@ class TestFusedCandidate:
         obj = Objective(A, y, reg)
         x0 = None if start == "zero" else \
             np.random.default_rng(3).normal(0, 1, size=p)
-        step, times = solver._Step.__call__, solver._times_A
+        step, times = _Solve.step, _Solve.times_A
         seen = {"candidates": 0, "screened": 0, "supports": 0}
 
-        def checked_times(obj, x, stats=None, support=None):
+        def checked_times(self, x, support=None):
             if support is not None:
                 seen["supports"] += 1
                 assert support.tobytes() == np.flatnonzero(x).tobytes()
-            return times(obj, x, stats, support)
+            return times(self, x, support)
 
-        def checked_step(self, x, cols, g, alpha, stats):
-            x_new, support, r, f = step(self, x, cols, g, alpha, stats)
+        def checked_step(self, x, cols, g, alpha):
+            x_new, support, r, f = step(self, x, cols, g, alpha)
             g_full = g
             if cols is not None:
                 seen["screened"] += 1
@@ -730,14 +739,14 @@ class TestFusedCandidate:
                 g_full[cols] = g
             expected = prox(reg, x - g_full / alpha, alpha)
             assert x_new.tobytes() == expected.tobytes()
-            assert r.tobytes() == (times(obj, x_new) - y).tobytes()
+            assert r.tobytes() == (times(_Solve(obj), x_new) - y).tobytes()
             f_checked = 0.5 * float(r @ r) + _penalty(reg.terms(), x_new)
             assert np.float64(f).tobytes() == np.float64(f_checked).tobytes()
             seen["candidates"] += 1
             return x_new, support, r, f
 
-        monkeypatch.setattr(solver, "_times_A", checked_times)
-        monkeypatch.setattr(solver._Step, "__call__", checked_step)
+        monkeypatch.setattr(_Solve, "times_A", checked_times)
+        monkeypatch.setattr(_Solve, "step", checked_step)
         monkeypatch.setattr(solver, "_ALPHA_MIN", alpha_min)
         res = sparsa_solve(obj, x0)
         assert seen["candidates"] == res.stats.candidates > 1

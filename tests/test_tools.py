@@ -24,15 +24,22 @@ class TestFingerprints:
                             r"sha256=[0-9a-f]{64}\n", out.stdout)
         assert not workdir.exists()
 
-    def test_against_the_same_tree_agrees(self, tmp_path):
+    # largep-path runs the solver above the size rule: gathered products,
+    # the gradient screen and Objective._of_rows
+    @pytest.mark.parametrize("workload, seed, tasks", [
+        ("csv-fit", 3, 3), ("largep-path", 0, 6)],
+        ids=["csv-fit", "largep-path"])
+    def test_against_the_same_tree_agrees(self, tmp_path, workload, seed,
+                                          tasks):
         workdir = tmp_path / "work"
-        out = _run("--against", str(ROOT / "src"), "--workload", "csv-fit",
-                   "--seed", "3", "--workdir", str(workdir))
+        out = _run("--against", str(ROOT / "src"), "--workload", workload,
+                   "--seed", str(seed), "--workdir", str(workdir))
         assert out.returncode == 0, out.stderr
         heading, theirs, heading2, ours = out.stdout.splitlines()
         assert (heading, heading2) == (f"{ROOT / 'src'}:",
                                        f"{ROOT / 'src'}:")
-        assert theirs == ours and ours.startswith("csv-fit seed=3 tasks=3 ")
+        assert theirs == ours \
+            and ours.startswith(f"{workload} seed={seed} tasks={tasks} ")
         assert not workdir.exists()
 
     @pytest.mark.parametrize("args, workdir, message", [

@@ -48,7 +48,7 @@ print("split sizes:",
 ds, kept = top_correlation_screen(ds, 20)
 print(f"screen kept {len(kept)} columns: {kept.tolist()}")
 
-ds, scales = normalize_dataset(ds, "l2")
+ds, scales = normalize_dataset(ds)
 
 grid = tuple(Sparc(lam, k)
              for lam in (0.3594, 0.0599, 0.01)

@@ -48,7 +48,6 @@ from .data import (
     normalize_columns,
     normalize_dataset,
     split_dataset,
-    standardize_columns,
     top_correlation_screen,
     write_csv,
 )
@@ -87,7 +86,7 @@ __all__ = [
     "ClassificationSpec", "DataError", "Dataset", "SyntheticSpec",
     "generate_grouped_classification", "generate_synthetic", "load_csv",
     "normalize_columns", "normalize_dataset", "split_dataset",
-    "standardize_columns", "top_correlation_screen", "write_csv",
+    "top_correlation_screen", "write_csv",
     "MetricsReport", "MetricUnavailableError", "cla", "compute_report",
     "dof", "mae", "mse", "nnz", "ser",
     "BenchmarkReport", "GridSpec", "default_grids", "emit_table",

@@ -207,7 +207,6 @@ def cmd_synth(args):
     report = run_repetitions(
         spec, grids, config=cfg, repetitions=args.reps,
         master_seed=args.seed, methods=methods,
-        average=args.metric_mean,
     )
     paths = emit_table(report, args.outdir)
     if args.json:
@@ -216,7 +215,6 @@ def cmd_synth(args):
         _print_config_lines([
             ("seed", args.seed), ("reps", args.reps),
             ("methods", ",".join(methods)),
-            ("metric_mean", args.metric_mean),
             ("outdir", args.outdir),
         ] + [(f"solver.{k}", v) for k, v in sorted(asdict(cfg).items())])
         print(format_table(report), end="")
@@ -235,15 +233,10 @@ def _write_coefficients(path, names, e, scales):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         # csv quotes a name only when it must, such as one holding a comma
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["feature", "coefficient"]
-        if scales is not None:
-            header.append("coefficient_raw")
-        writer.writerow(header)
+        writer.writerow(["feature", "coefficient", "coefficient_raw"])
         for j, name in enumerate(names):
-            row = [name, repr(float(e[j]))]
-            if scales is not None:
-                row.append(repr(float(e[j] / scales[j])))
-            writer.writerow(row)
+            writer.writerow([name, repr(float(e[j])),
+                             repr(float(e[j] / scales[j]))])
 
 
 def cmd_fit(args):
@@ -262,17 +255,17 @@ def cmd_fit(args):
     kept = None
     if args.screen is not None:
         ds, kept = top_correlation_screen(ds, args.screen)
-    ds, scales = normalize_dataset(ds, args.normalization)
+    ds, scales = normalize_dataset(ds)
     grids = _grid_spec(args, (args.method,), ds.p, given)
     reg, e = grid_search(ds, grids.grid_for(args.method), cfg)
-    report = compute_report(ds, e, average=args.metric_mean)
+    report = compute_report(ds, e)
 
+    # sums over the test rows, as MAE and MSE are
     A_te, y_te = ds.part("test")
     r_te = A_te @ e - y_te
-    scale = A_te.shape[0] if args.metric_mean else 1
     prediction = {
-        "test_mse": float(r_te @ r_te) / scale,
-        "test_mae": float(np.abs(r_te).sum()) / scale,
+        "test_mse": float(r_te @ r_te),
+        "test_mae": float(np.abs(r_te).sum()),
     }
     if ds.task == "classification":
         prediction["test_cla"] = report.CLA
@@ -286,8 +279,9 @@ def cmd_fit(args):
         "config": {
             "csv": args.csv, "label": args.label, "task": args.task,
             "method": args.method, "split": list(fractions),
-            "seed": args.seed, "normalization": args.normalization,
-            "metric_mean": args.metric_mean, "solver": asdict(cfg),
+            # echoes of the one column scaling and of sums, not means
+            "seed": args.seed, "normalization": "l2",
+            "metric_mean": False, "solver": asdict(cfg),
         },
     }
     os.makedirs(args.outdir, exist_ok=True)
@@ -379,8 +373,6 @@ def build_parser():
     p.add_argument("--outdir", default=_default_outdir())
     p.add_argument("--lambda-grid", help="comma-separated penalty grid")
     p.add_argument("--k-grid", help="comma-separated sparsity grid")
-    p.add_argument("--metric-mean", action="store_true",
-                   help="divide MAE/MSE by the test count")
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_synth)
@@ -396,13 +388,10 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--screen", type=int,
                    help="keep only the m columns most correlated with y")
-    p.add_argument("--normalization", default="l2",
-                   choices=("l2", "zscore", "none"))
     _add_field_flags(p)
     p.add_argument("--lambda-grid")
     p.add_argument("--k-grid")
     p.add_argument("--outdir", default=_default_outdir())
-    p.add_argument("--metric-mean", action="store_true")
     _add_solver_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_fit)

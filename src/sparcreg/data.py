@@ -39,7 +39,6 @@ __all__ = [
     "write_csv",
     "split_dataset",
     "normalize_columns",
-    "standardize_columns",
     "normalize_dataset",
     "top_correlation_screen",
 ]
@@ -656,46 +655,18 @@ def normalize_columns(A, train_rows=None, feature_names=None):
     return A / scales, scales
 
 
-def standardize_columns(A, train_rows=None, feature_names=None):
-    """Z-score columns using training-row mean and standard deviation.
+def normalize_dataset(ds):
+    """Scale a split dataset's columns to unit norm on its training rows.
 
-    Returns (standardized matrix, means, stds).  Note this centers the
-    columns; the fitted model has no intercept, so use this mode only for
-    sensitivity checks against the default norm scaling.
+    Returns (dataset, scales).  Dividing fitted coefficients by the scales
+    maps them back to the raw feature units; the ground truth, where there
+    is one, is multiplied by them, so y = A x* + w still holds.  A column
+    that is zero on the training rows, or whose norm exceeds the float
+    range, raises ValueError naming it.
     """
-    A = _as_design(A)
-    T = A if train_rows is None else A[train_rows]
-    if T.shape[0] == 0:
-        raise ValueError("no training rows to compute statistics from")
-    means = T.mean(axis=0)
-    stds = T.std(axis=0)
-    zero = np.flatnonzero(stds == 0)
-    if zero.size:
-        name = _column_name(feature_names, zero[0])
-        raise ValueError(
-            f"column {name!r} is constant on the training rows; "
-            "cannot standardize"
-        )
-    return (A - means) / stds, means, stds
-
-
-def normalize_dataset(ds, mode="l2"):
-    """Rescale a split dataset's columns using its training rows.
-
-    mode "l2" scales to unit norm, "zscore" standardizes, "none" is the
-    identity.  Returns (dataset, scales); scales is None for zscore/none.
-    """
-    if mode == "none":
-        return ds, None
-    train = ds.mask("train")
-    if mode == "l2":
-        A, scales = normalize_columns(ds.A, train, ds.feature_names)
-    elif mode == "zscore":
-        A, _, _ = standardize_columns(ds.A, train, ds.feature_names)
-        scales = None
-    else:
-        raise ValueError(f"unknown normalization mode {mode!r}")
-    out = Dataset(A, ds.y, ds.task, ds.x_true, ds.split, ds.feature_names)
+    A, scales = normalize_columns(ds.A, ds.mask("train"), ds.feature_names)
+    x_true = None if ds.x_true is None else ds.x_true * scales
+    out = Dataset(A, ds.y, ds.task, x_true, ds.split, ds.feature_names)
     return out, scales
 
 

@@ -211,12 +211,12 @@ _SOURCES = ((SyntheticSpec, "synthetic-regression", generate_synthetic),
              generate_grouped_classification))
 
 
-def _one_repetition(ds, grids, cfg, methods, average, keep_estimates):
+def _one_repetition(ds, grids, cfg, methods, keep_estimates):
     cells = {}
     for method in methods:
         try:
             reg, e = grid_search(ds, grids.grid_for(method), cfg)
-            report = compute_report(ds, e, average=average)
+            report = compute_report(ds, e)
             est = [float(v) for v in e] if keep_estimates else None
             cells[method] = {
                 "params": _reg_to_dict(reg),
@@ -272,14 +272,15 @@ class BenchmarkReport:
 
 
 def run_repetitions(source, grids, config=None, repetitions=50,
-                    master_seed=0, methods=METHOD_NAMES, average=False):
+                    master_seed=0, methods=METHOD_NAMES):
     """Run the benchmark ``repetitions`` times and aggregate test metrics.
 
     ``source`` is a ``SyntheticSpec`` or a ``ClassificationSpec``;
-    repetition r generates its data at seed ``master_seed + r``.  A
-    solver failure marks that (method, repetition) cell as failed and the
-    loop continues; failed cells are excluded from the mean/std but stay
-    visible in the report.
+    repetition r generates its data at seed ``master_seed + r``, its
+    columns at unit norm on the train rows, and MAE and MSE are sums over
+    its test rows.  A solver failure marks that (method, repetition) cell
+    as failed and the loop continues; failed cells are excluded from the
+    mean/std but stay visible in the report.
     """
     repetitions = _check_count(repetitions, "repetitions")
     methods = _check_methods(methods)
@@ -294,8 +295,7 @@ def run_repetitions(source, grids, config=None, repetitions=50,
 
     reps = [
         _one_repetition(generate(replace(source, seed=master_seed + r)),
-                        grids, cfg, methods, average,
-                        keep_estimates=(r == 0))
+                        grids, cfg, methods, keep_estimates=(r == 0))
         for r in range(repetitions)
     ]
 
@@ -331,10 +331,11 @@ def run_repetitions(source, grids, config=None, repetitions=50,
         "grids": {m: [_reg_to_dict(r) for r in grids.grid_for(m)]
                   for m in methods},
         "source": {"kind": kind, **asdict(source)},
-        # echoes of the generated data's fixed split and normalization
+        # echoes of the generated data's fixed split and scaling, and of
+        # MAE and MSE being sums
         "fractions": None,
         "normalization": "l2",
-        "average": bool(average),
+        "average": False,
     }
     return BenchmarkReport(
         task=task,

@@ -11,8 +11,7 @@ Six metrics, all computed on the test split:
 
 DoF and NNZ count the same nonzeros, |e_i| > 1e-8, so DoF <= NNZ.
 
-MAE and MSE are sums over test rows, not means; pass ``average=True`` to
-``compute_report`` to divide both by the test count.
+MAE and MSE are sums over test rows, not means.
 """
 
 from __future__ import annotations
@@ -137,12 +136,12 @@ def nnz(e):
     return int(np.count_nonzero(np.abs(e) > _ZERO_TOL))
 
 
-def compute_report(ds, e, average=False):
+def compute_report(ds, e):
     """All metrics available for a dataset's test split.
 
-    Regression reports MAE, MSE, SER (when ground truth exists), DoF and
-    NNZ; classification reports CLA, DoF and NNZ.  ``average=True``
-    divides MAE and MSE by the number of test rows.
+    Regression reports MAE and MSE (sums over the test rows) and SER when
+    ground truth exists, DoF and NNZ; classification reports CLA, DoF and
+    NNZ.
     """
     A_test, y_test = ds.part("test")
     vals = {"DoF": dof(e), "NNZ": nnz(e)}
@@ -150,8 +149,7 @@ def compute_report(ds, e, average=False):
         vals["CLA"] = cla(A_test, y_test, e)
     else:
         if ds.x_true is not None:
-            scale = A_test.shape[0] if average else 1
-            vals["MAE"] = mae(A_test, ds.x_true, e) / scale
-            vals["MSE"] = mse(A_test, ds.x_true, e) / scale
+            vals["MAE"] = mae(A_test, ds.x_true, e)
+            vals["MSE"] = mse(A_test, ds.x_true, e)
             vals["SER"] = ser(ds.x_true, e)
     return MetricsReport(**vals)

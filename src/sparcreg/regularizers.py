@@ -182,13 +182,14 @@ def _price(terms, weights, x, mags):
     return float(value)
 
 
-def _penalty(terms, x):
+def _penalty(terms, x, weights=None):
     """The penalty of the family terms at a finite 1-D float64 x; k <= x.size.
 
     Under a cap the weights span the k retained ranks, so positions holding
     zeros still count as pair partners when x has fewer than k nonzeros;
     ``||x||_0`` uses strict equality to zero, since prox outputs contain
-    exact zeros.
+    exact zeros.  ``weights``, where the caller holds them, are
+    ``_weights(terms, x.size)``.
     """
     slope, k = terms[1], terms[3]
     if slope is None:
@@ -196,7 +197,9 @@ def _penalty(terms, x):
     if k is not None and np.count_nonzero(x) > k:
         return float("inf")
     mags = np.sort(np.abs(x))[::-1][:x.size if k is None else k]
-    return _price(terms, _weights(terms, x.size), x, mags)
+    if weights is None:
+        weights = _weights(terms, x.size)
+    return _price(terms, weights, x, mags)
 
 
 def _checked_penalty(terms, x):

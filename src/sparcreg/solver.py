@@ -306,7 +306,7 @@ class _Solve:
         r = self.times_A(x) - self.y
         with np.errstate(over="ignore"):
             f = 0.5 * float(r @ r)
-        return r, f + _penalty(self.terms, x)
+        return r, f + _penalty(self.terms, x, self.weights)
 
     def gradient(self, support, r):
         """A^T r as (cols, g): g holds the entries cols (ascending) of

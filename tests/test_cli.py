@@ -185,6 +185,22 @@ class TestSynth:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "report.csv").exists()
 
+    def test_metric_mean_refused(self, capsys, tmp_path):
+        # MAE and MSE are always sums over the test rows
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("metric_mean=false\n")
+        for given, message in (
+                (["--metric-mean"], "unrecognized arguments: --metric-mean\n"),
+                (["--config", str(cfg)],
+                 f"error: {cfg} line 1: unknown key 'metric_mean': sparcreg "
+                 f"synth has no --metric-mean flag\n")):
+            code, out, err = run(capsys, "synth", "--reps", "1",
+                                 "--methods", "lasso", "--lambda-grid", "1",
+                                 "--outdir", str(tmp_path), *given)
+            assert (code, out) == (2, "")
+            assert err.endswith(message)
+        assert not (tmp_path / "report.csv").exists()
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--reps", "1",
                            "--methods", "lasso", "--lambda-grid", "1",
@@ -378,17 +394,43 @@ class TestFit:
         assert payload["metrics"]["MAE"] is None
         assert "test_cla" in payload["prediction"]
 
-    def test_no_raw_column_without_scaling(self, capsys, planted_csv,
-                                           tmp_path):
-        out_dir = tmp_path / "raw"
-        code, _, _ = run(capsys, "fit", str(planted_csv),
-                         "--label", "label", "--task", "regression",
-                         "--method", "lasso", "--lambda1", "0.1",
-                         "--normalization", "none",
-                         "--outdir", str(out_dir))
-        assert code == 0
-        header = (out_dir / "coefficients.csv").read_text().splitlines()[0]
-        assert header == "feature,coefficient"
+    @pytest.mark.parametrize("extra, key", [
+        (["--normalization", "none"], "normalization=none"),
+        (["--normalization", "l2"], "normalization=l2"),
+        (["--metric-mean"], "metric_mean=true"),
+    ], ids=["normalization-none", "normalization-l2", "metric-mean"])
+    def test_removed_scaling_options_refused(self, capsys, planted_csv,
+                                             tmp_path, extra, key):
+        # columns are always scaled to unit norm and errors always summed
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(key + "\n")
+        name = key.partition("=")[0]
+        for given, message in (
+                (extra, f"unrecognized arguments: {' '.join(extra)}\n"),
+                (["--config", str(cfg)],
+                 f"error: {cfg} line 1: unknown key {name!r}: sparcreg fit "
+                 f"has no {extra[0]} flag\n")):
+            code, out, err = run(capsys, "fit", str(planted_csv),
+                                 "--label", "label", "--task", "regression",
+                                 "--method", "lasso",
+                                 "--outdir", str(tmp_path / "out"), *given)
+            assert (code, out) == (2, "")
+            assert err.endswith(message)
+        assert not (tmp_path / "out").exists()
+
+    def test_column_zero_on_train_rows_named(self, capsys, tmp_path):
+        # the column is nonzero only on a test row
+        path = tmp_path / "z.csv"
+        path.write_text("a,b,y,split\n1,0,1,train\n2,0,2,train\n"
+                        "3,0,3,validation\n4,5,4,test\n")
+        code, out, err = run(capsys, "fit", str(path), "--label", "y",
+                             "--task", "regression", "--method", "lasso",
+                             "--lambda1", "0.1",
+                             "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == ("error: column 'b' is zero on the training rows; "
+                       "cannot normalize\n")
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_split_rejected(self, capsys, planted_csv, tmp_path):
         code, _, _ = run(capsys, "fit", str(planted_csv),

@@ -21,11 +21,11 @@ from sparcreg.data import (
     normalize_columns,
     normalize_dataset,
     split_dataset,
-    standardize_columns,
     top_correlation_screen,
     write_csv,
 )
 from sparcreg.experiment import grid_search
+from sparcreg.metrics import compute_report
 from sparcreg.regularizers import Lasso
 from sparcreg.solver import Objective, sparsa_solve
 import oracles
@@ -808,35 +808,34 @@ class TestColumnScaling:
         assert scales.tobytes() == np.sqrt((T * T).sum(axis=0)).tobytes()
         assert scaled.tobytes() == (A / scales).tobytes()
 
-    def test_standardize(self):
-        A = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 20.0]])
-        Z, means, stds = standardize_columns(A)
-        npt.assert_allclose(Z.mean(axis=0), [0.0, 0.0], atol=1e-12)
-        npt.assert_allclose(Z.std(axis=0), [1.0, 1.0])
-        npt.assert_allclose(means, [3.0, 20.0])
-
-    def test_standardize_constant_column_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            standardize_columns(np.array([[1.0, 2.0], [1.0, 3.0]]),
-                                feature_names=("c", "d"))
-
     def test_normalize_dataset_modes(self):
         base = generate_synthetic(SyntheticSpec(
             n_train=6, n_validation=3, n_test=3, n_irrelevant=1, seed=4))
         raw = Dataset(base.A * 7.0, base.y, "regression", base.x_true,
                       base.split, base.feature_names)
-        l2, scales = normalize_dataset(raw, "l2")
+        l2, scales = normalize_dataset(raw)
         At, _ = l2.part("train")
         npt.assert_allclose(np.linalg.norm(At, axis=0), 1.0)
         npt.assert_allclose(scales, np.full(raw.p, 7.0))
-        z, none_scales = normalize_dataset(raw, "zscore")
-        assert none_scales is None
-        At, _ = z.part("train")
-        npt.assert_allclose(At.mean(axis=0), 0.0, atol=1e-12)
-        same, _ = normalize_dataset(raw, "none")
-        assert same is raw
-        with pytest.raises(ValueError):
-            normalize_dataset(raw, "minmax")
+        with pytest.raises(TypeError):
+            normalize_dataset(raw, "l2")
+
+    def test_normalized_truth_still_reproduces_the_response(self):
+        # y = A x* + w must hold in the scaled units: the truth is
+        # multiplied by the scales that divide the columns
+        base = generate_synthetic(SyntheticSpec(
+            n_train=6, n_validation=3, n_test=3, n_irrelevant=1,
+            observation_noise_var=0.0, seed=4))
+        raw = Dataset(base.A * 7.0, base.y, "regression", base.x_true / 7.0,
+                      base.split, base.feature_names)
+        npt.assert_allclose(raw.A @ raw.x_true, raw.y, rtol=1e-12)
+        scaled, scales = normalize_dataset(raw)
+        exact = raw.x_true * scales
+        npt.assert_allclose(scaled.A @ exact, raw.y, rtol=1e-12)
+        assert scaled.x_true.tobytes() == exact.tobytes()
+        rep = compute_report(scaled, exact)
+        assert rep.MSE == pytest.approx(0.0, abs=1e-20)
+        assert rep.SER == 0.0
 
 
 class TestCorrelationScreen:

@@ -153,16 +153,6 @@ class TestComputeReport:
         assert rep.MAE is None
         assert rep.NNZ == 15
 
-    def test_average_divides_by_test_rows(self):
-        ds = generate_synthetic(SyntheticSpec(
-            n_train=6, n_validation=3, n_test=4, n_irrelevant=2, seed=7))
-        e = np.zeros(ds.p)
-        total = compute_report(ds, e)
-        avg = compute_report(ds, e, average=True)
-        assert avg.MAE == pytest.approx(total.MAE / 4)
-        assert avg.MSE == pytest.approx(total.MSE / 4)
-        assert avg.SER == total.SER
-
     def test_row_order_invariance(self):
         ds = generate_synthetic(SyntheticSpec(
             n_train=6, n_validation=3, n_test=5, n_irrelevant=2, seed=8))

@@ -52,3 +52,33 @@ class TestFingerprints:
         out = _run(*args, "--workdir", str(tmp_path / workdir))
         assert out.returncode != 0 and message in out.stderr
         assert not (tmp_path / "new").exists()
+
+
+class TestBehaviour:
+    def test_same_tree_gives_zero_deltas_and_equal_work(self):
+        src = str(ROOT / "src")
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "behaviour.py"),
+             "--src", src, "--src", src, "--reps", "2,2"],
+            capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[:2] == [f"A: {src}", f"B: {src}"]
+        assert lines[-1] == "nonzero deltas: 0"
+        # two reps of four methods per fixture, every one tied
+        for fixture in ("regression", "classification"):
+            reps = [l for l in lines if l.startswith(f"{fixture} rep=")]
+            assert len(reps) == 8 and all(l.endswith(" same") for l in reps)
+            summary = [l for l in lines if " wins=" in l
+                       and l.startswith(fixture + " ")]
+            assert len(summary) == 12
+            assert all("wins=0 losses=0 ties=2 worst=none" in l
+                       for l in summary)
+            work = [l for l in lines
+                    if l.startswith((f"{fixture} work ", f"{fixture} ends "))]
+            assert any(" candidates: " in l for l in work)
+            for l in work:
+                a, b = re.search(r"A=(\d+) B=(\d+) d=0$", l).groups()
+                assert a == b
+        deltas = re.findall(r"\bd=(\S+)", out.stdout)
+        assert deltas and set(deltas) == {"0"}

@@ -7,11 +7,11 @@ Subcommands:
 * ``fit``       -- fit a CSV dataset end to end and report test metrics
 * ``describe``  -- print a quick summary of a CSV dataset
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 argument errors.
-stdout is machine-parseable under ``--json``; stderr carries diagnostics.
-A ``--config FILE`` of flat key=value lines supplies defaults for any
-flag of the chosen subcommand (explicit flags win); the environment
-variable SPARCREG_OUTDIR sets the default output directory.
+The command line is the only input: no configuration file or
+environment variable sets a flag, and a flag is matched by its full name
+only.  Exit codes: 0 success, 1 runtime or I/O failure, 2 argument
+errors, each found before the first solve.  stdout is machine-parseable
+under ``--json``; stderr carries diagnostics.
 """
 
 from __future__ import annotations
@@ -97,14 +97,9 @@ def _add_solver_flags(p):
                        type=type(f.default), default=f.default)
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", help="key=value file of flag defaults")
+def _add_json_flag(p):
     p.add_argument("--json", action="store_true",
                    help="machine-readable stdout")
-
-
-def _default_outdir():
-    return os.environ.get("SPARCREG_OUTDIR", ".")
 
 
 # ---------------------------------------------------------------- prox
@@ -202,8 +197,10 @@ def cmd_synth(args):
     cfg = _solver_config(args)
     with _usage():
         _check_count(args.reps, "--reps")
+        _check_count(args.seed, "--seed", 0)
     spec = SyntheticSpec()
     grids = _grid_spec(args, methods, spec.p, {})
+    os.makedirs(args.outdir, exist_ok=True)
     report = run_repetitions(
         spec, grids, config=cfg, repetitions=args.reps,
         master_seed=args.seed, methods=methods,
@@ -243,12 +240,14 @@ def cmd_fit(args):
     fractions = _parse_fractions(args.split)
     cfg = _solver_config(args)
     given = _given_fields(args, args.method)
-    if args.screen is not None:
-        with _usage():
+    with _usage():
+        _check_count(args.seed, "--seed", 0)
+        if args.screen is not None:
             _check_count(args.screen, "--screen")
     # a grid for one feature checks every grid flag, penalty value and k
     # before the CSV is read (the k axis for the real p comes later)
     _grid_spec(args, (args.method,), 1, given)
+    os.makedirs(args.outdir, exist_ok=True)
     ds = load_csv(args.csv, args.label, args.task)
     with _usage():
         ds = split_dataset(ds, fractions, args.seed)
@@ -284,7 +283,6 @@ def cmd_fit(args):
             "metric_mean": False, "solver": asdict(cfg),
         },
     }
-    os.makedirs(args.outdir, exist_ok=True)
     _write_coefficients(os.path.join(args.outdir, "coefficients.csv"),
                         ds.feature_names, e, scales)
     with open(os.path.join(args.outdir, "metrics.json"), "w",
@@ -344,8 +342,8 @@ def cmd_describe(args):
 # ---------------------------------------------------------------- main
 
 def build_parser():
-    # no prefix matching on any parser: "--conf" must not pass for
-    # "--config", which _expand_config reads only under its full name
+    # no prefix matching on any parser: a typo such as "--rep" must not
+    # pass silently for "--reps"
     parser = argparse.ArgumentParser(
         prog="sparcreg",
         description="Sparse and clustered penalized least squares.",
@@ -362,7 +360,7 @@ def build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--vec", help="comma- or space-separated numbers")
     src.add_argument("--vec-file", help="file of numbers")
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_prox)
 
     p = sub.add_parser("synth", help="synthetic regression benchmark",
@@ -370,11 +368,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--methods", default=",".join(METHOD_NAMES))
-    p.add_argument("--outdir", default=_default_outdir())
+    p.add_argument("--outdir", default=".")
     p.add_argument("--lambda-grid", help="comma-separated penalty grid")
     p.add_argument("--k-grid", help="comma-separated sparsity grid")
     _add_solver_flags(p)
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit one CSV dataset",
@@ -391,75 +389,23 @@ def build_parser():
     _add_field_flags(p)
     p.add_argument("--lambda-grid")
     p.add_argument("--k-grid")
-    p.add_argument("--outdir", default=_default_outdir())
+    p.add_argument("--outdir", default=".")
     _add_solver_flags(p)
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("describe", help="summarize a CSV dataset",
                        allow_abbrev=False)
     p.add_argument("csv")
-    _add_common_flags(p)
+    _add_json_flag(p)
     p.set_defaults(func=cmd_describe)
 
     return parser
 
 
-def _config_tokens(path, parser):
-    """Turn key=value lines into argv tokens (booleans become bare flags);
-    a key must name a flag of ``parser`` other than --config."""
-    toks = []
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key:
-                raise CliError(
-                    f"{path} line {i}: expected key=value, got {raw.rstrip()!r}"
-                )
-            flag = "--" + key.replace("_", "-")
-            if flag == "--config":
-                # _expand_config reads the command line's file only
-                raise CliError(f"{path} line {i}: a config file cannot "
-                               f"name another")
-            if flag not in parser._option_string_actions:
-                raise CliError(f"{path} line {i}: unknown key {key!r}: "
-                               f"{parser.prog} has no {flag} flag")
-            if value.lower() == "true":
-                toks.append(flag)
-            elif value.lower() == "false":
-                pass
-            else:
-                toks.extend([flag, value])
-    return toks
-
-
-def _expand_config(argv, parser):
-    """Insert config-file tokens after the subcommand so real flags win.
-    A second --config is refused; argparse reports a bare one at the end,
-    and an unknown subcommand."""
-    paths = [argv[i + 1] for i, tok in enumerate(argv[:-1])
-             if tok == "--config"]
-    paths += [tok.split("=", 1)[1] for tok in argv
-              if tok.startswith("--config=")]
-    if len(paths) > 1:
-        raise CliError("--config given more than once")
-    # argparse keeps the subcommand parsers, and their flags, private
-    commands = next(a.choices for a in parser._actions
-                    if a.dest == "command")
-    if not paths or argv[0] not in commands:
-        return argv
-    return argv[:1] + _config_tokens(paths[0], commands[argv[0]]) + argv[1:]
-
-
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(_expand_config(argv, parser))
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, or a usage error
         return exc.code
@@ -467,7 +413,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, SolverDivergenceError) as exc:
-        # DataError and a config file's UnicodeDecodeError are ValueErrors
+        # DataError, and the UnicodeDecodeError of a CSV or --vec-file that
+        # is not UTF-8, are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

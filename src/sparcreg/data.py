@@ -151,7 +151,9 @@ class _BlockDesign:
     def _check(self, noise, what):
         """Raise ValueError unless the design is non-trivial, the noise
         parameters (``what``, ``within_noise_var`` and ``noise``) are
-        non-negative and every split has a sample."""
+        non-negative, every split has a sample and the seed is an integer
+        >= 0, which is stored as an int."""
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
         if min(self.n_groups, self.group_size) < 1 or self.n_irrelevant < 0:
             raise ValueError("group structure must be non-trivial")
         if self.within_noise_var < 0 or noise < 0:
@@ -559,8 +561,10 @@ def split_dataset(ds, fractions, seed):
     fractions must be three positive numbers summing to 1 (within 1e-9).
     Sizes: train and validation get the floor of fraction * n, test gets
     the remainder.  Rows stay in place; only the labels are assigned.
+    The seed must be an integer >= 0.
     """
     f = _check_fractions(fractions)
+    seed = _check_count(seed, "seed", 0)
     n = ds.n
     # nudge before flooring so exact products stored as x.999... round up
     n_train = int(f[0] * n + 1e-9)

@@ -276,13 +276,15 @@ def run_repetitions(source, grids, config=None, repetitions=50,
     """Run the benchmark ``repetitions`` times and aggregate test metrics.
 
     ``source`` is a ``SyntheticSpec`` or a ``ClassificationSpec``;
-    repetition r generates its data at seed ``master_seed + r``, its
+    repetition r generates its data at seed ``master_seed + r`` (an
+    integer >= 0, checked before the first solve), its
     columns at unit norm on the train rows, and MAE and MSE are sums over
     its test rows.  A solver failure marks that (method, repetition) cell
     as failed and the loop continues; failed cells are excluded from the
     mean/std but stay visible in the report.
     """
     repetitions = _check_count(repetitions, "repetitions")
+    master_seed = _check_count(master_seed, "master_seed", 0)
     methods = _check_methods(methods)
     for m in methods:
         if not grids.grid_for(m):
@@ -341,7 +343,7 @@ def run_repetitions(source, grids, config=None, repetitions=50,
         task=task,
         methods=list(methods),
         repetitions=repetitions,
-        master_seed=int(master_seed),
+        master_seed=master_seed,
         metric_names=list(TABLE_METRICS[task]),
         summary=summary,
         selected=selected,

@@ -66,15 +66,16 @@ def _check_nonneg(value, name):
     raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def _check_count(value, name):
-    """int(value) for a finite, integral value >= 1 that is not a boolean;
-    anything else raises."""
+def _check_count(value, name, least=1):
+    """int(value) for a finite, integral value >= ``least`` (1 or 0) that
+    is not a boolean; anything else raises."""
     try:
-        count = 0 if isinstance(value, (bool, np.bool_)) else int(value)
-    except (ValueError, OverflowError):  # nan, inf
-        count = 0
-    if count != value or count < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+        count = -1 if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        count = -1
+    if count != value or count < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
     return count
 
 

@@ -187,18 +187,11 @@ class TestSynth:
 
     def test_metric_mean_refused(self, capsys, tmp_path):
         # MAE and MSE are always sums over the test rows
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_text("metric_mean=false\n")
-        for given, message in (
-                (["--metric-mean"], "unrecognized arguments: --metric-mean\n"),
-                (["--config", str(cfg)],
-                 f"error: {cfg} line 1: unknown key 'metric_mean': sparcreg "
-                 f"synth has no --metric-mean flag\n")):
-            code, out, err = run(capsys, "synth", "--reps", "1",
-                                 "--methods", "lasso", "--lambda-grid", "1",
-                                 "--outdir", str(tmp_path), *given)
-            assert (code, out) == (2, "")
-            assert err.endswith(message)
+        code, out, err = run(capsys, "synth", "--reps", "1",
+                             "--methods", "lasso", "--lambda-grid", "1",
+                             "--outdir", str(tmp_path), "--metric-mean")
+        assert (code, out) == (2, "")
+        assert err.endswith("unrecognized arguments: --metric-mean\n")
         assert not (tmp_path / "report.csv").exists()
 
     def test_json_mode(self, capsys, tmp_path):
@@ -229,12 +222,32 @@ class TestSynth:
                          "--outdir", str(tmp_path))
         assert code == 2
 
-    def test_outdir_env_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPARCREG_OUTDIR", str(tmp_path))
-        code, _, _ = run(capsys, "synth", "--reps", "1",
-                         "--methods", "lasso", "--lambda-grid", "1")
-        assert code == 0
-        assert (tmp_path / "report.json").exists()
+    def test_bad_seed_refused_before_solving(self, capsys, tmp_path,
+                                             no_run):
+        code, out, err = run(capsys, "synth", "--reps", "1", "--seed", "-1",
+                             "--outdir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unusable_outdir_fails_before_solving(self, capsys, tmp_path,
+                                                  no_run):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, out, err = run(capsys, "synth", "--reps", "2",
+                             "--outdir", str(taken))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(taken) in err
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Make reading a CSV or running a repetition fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached a solve's input")
+
+    monkeypatch.setattr("sparcreg.cli.run_repetitions", refuse)
+    monkeypatch.setattr("sparcreg.cli.load_csv", refuse)
 
 
 @pytest.fixture
@@ -292,19 +305,12 @@ class TestFit:
 
     def test_step_rule_constants_have_no_flag(self, capsys, planted_csv,
                                               tmp_path):
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_text("eta=3\n")
-        for extra, message in (
-                (["--eta", "3"], "unrecognized arguments: --eta 3\n"),
-                (["--config", str(cfg)], f"error: {cfg} line 1: unknown key "
-                                         f"'eta': sparcreg fit has no --eta "
-                                         f"flag\n")):
-            code, out, err = run(capsys, "fit", str(planted_csv),
-                                 "--label", "label", "--task", "regression",
-                                 "--method", "lasso",
-                                 "--outdir", str(tmp_path / "out"), *extra)
-            assert (code, out) == (2, "")
-            assert err.endswith(message)
+        code, out, err = run(capsys, "fit", str(planted_csv),
+                             "--label", "label", "--task", "regression",
+                             "--method", "lasso",
+                             "--outdir", str(tmp_path / "out"), "--eta", "3")
+        assert (code, out) == (2, "")
+        assert err.endswith("unrecognized arguments: --eta 3\n")
         assert not (tmp_path / "out").exists()
 
     def test_lambda_grid_feeds_the_unpinned_enet_penalty(
@@ -394,28 +400,19 @@ class TestFit:
         assert payload["metrics"]["MAE"] is None
         assert "test_cla" in payload["prediction"]
 
-    @pytest.mark.parametrize("extra, key", [
-        (["--normalization", "none"], "normalization=none"),
-        (["--normalization", "l2"], "normalization=l2"),
-        (["--metric-mean"], "metric_mean=true"),
+    @pytest.mark.parametrize("extra", [
+        ["--normalization", "none"], ["--normalization", "l2"],
+        ["--metric-mean"],
     ], ids=["normalization-none", "normalization-l2", "metric-mean"])
     def test_removed_scaling_options_refused(self, capsys, planted_csv,
-                                             tmp_path, extra, key):
+                                             tmp_path, extra):
         # columns are always scaled to unit norm and errors always summed
-        cfg = tmp_path / "fit.cfg"
-        cfg.write_text(key + "\n")
-        name = key.partition("=")[0]
-        for given, message in (
-                (extra, f"unrecognized arguments: {' '.join(extra)}\n"),
-                (["--config", str(cfg)],
-                 f"error: {cfg} line 1: unknown key {name!r}: sparcreg fit "
-                 f"has no {extra[0]} flag\n")):
-            code, out, err = run(capsys, "fit", str(planted_csv),
-                                 "--label", "label", "--task", "regression",
-                                 "--method", "lasso",
-                                 "--outdir", str(tmp_path / "out"), *given)
-            assert (code, out) == (2, "")
-            assert err.endswith(message)
+        code, out, err = run(capsys, "fit", str(planted_csv),
+                             "--label", "label", "--task", "regression",
+                             "--method", "lasso",
+                             "--outdir", str(tmp_path / "out"), *extra)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"unrecognized arguments: {' '.join(extra)}\n")
         assert not (tmp_path / "out").exists()
 
     def test_column_zero_on_train_rows_named(self, capsys, tmp_path):
@@ -430,7 +427,8 @@ class TestFit:
         assert (code, out) == (1, "")
         assert err == ("error: column 'b' is zero on the training rows; "
                        "cannot normalize\n")
-        assert not (tmp_path / "out").exists()
+        # the output directory is made before the CSV is read
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_degenerate_split_rejected(self, capsys, planted_csv, tmp_path):
         code, _, _ = run(capsys, "fit", str(planted_csv),
@@ -450,6 +448,15 @@ class TestFit:
                          "--method", "lasso", "--screen", "0",
                          "--outdir", str(tmp_path))
         assert code == 2
+
+    def test_unusable_outdir_fails_before_reading_csv(self, capsys,
+                                                      planted_csv, tmp_path,
+                                                      no_run):
+        code, out, err = run(capsys, "fit", str(planted_csv),
+                             "--label", "label", "--task", "regression",
+                             "--method", "lasso", "--outdir", str(planted_csv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(planted_csv) in err
 
     def test_missing_csv(self, capsys, tmp_path):
         code, _, _ = run(capsys, "fit", str(tmp_path / "nope.csv"),
@@ -474,6 +481,7 @@ class TestFit:
         (["--lambda-grid=-1"], "lam1 must be finite and non-negative, "
                                "got -1.0"),
         (["--screen", "0"], "--screen must be a positive integer, got 0"),
+        (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         (["--method", "sparc", "--k-grid", "0,-3"],
          "k must be a positive integer, got 0"),
         (["--method", "sparc", "--k", "0"],
@@ -496,10 +504,11 @@ class TestFit:
          "--lambda-grid feeds no searched --enet axis"),
         (["--lambda-grid", "1,1"], "penalty grid repeats 1.0"),
         (["--method", "sparc", "--k-grid", "5,5"], "sparsity grid repeats 5"),
-    ], ids=["empty-lambda-grid", "negative-lambda", "screen-0", "k-grid-0",
-            "k-0", "empty-k-grid", "split-two", "split-sum", "split-token",
-            "tol-inf", "lasso-k-grid", "pinned-k-grid", "pinned-lambda-grid",
-            "pinned-enet-lambda-grid", "repeated-lambda", "repeated-k"])
+    ], ids=["empty-lambda-grid", "negative-lambda", "screen-0",
+            "seed-negative", "k-grid-0", "k-0", "empty-k-grid", "split-two",
+            "split-sum", "split-token", "tol-inf", "lasso-k-grid",
+            "pinned-k-grid", "pinned-lambda-grid", "pinned-enet-lambda-grid",
+            "repeated-lambda", "repeated-k"])
     def test_arguments_checked_before_reading_csv(self, capsys, tmp_path,
                                                   bad, message):
         code, out, err = run(capsys, "fit", str(tmp_path / "nope.csv"),
@@ -687,110 +696,16 @@ class TestDescribe:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults(self, capsys, tmp_path):
-        cfg = tmp_path / "prox.cfg"
-        cfg.write_text("lambda1=1\n")
-        code, out, _ = run(capsys, "prox", "--lasso", "--vec", "3 0",
-                           "--config", str(cfg))
-        assert code == 0
-        assert out.splitlines()[0] == "2 0"
-
-    def test_explicit_flag_wins(self, capsys, tmp_path):
-        cfg = tmp_path / "prox.cfg"
-        cfg.write_text("lambda1=1\n")
-        code, out, _ = run(capsys, "prox", "--lasso", "--lambda1", "2",
-                           "--vec", "3 0", "--config", str(cfg))
-        assert code == 0
-        assert out.splitlines()[0] == "1 0"
-
-    def test_boolean_value_becomes_bare_flag(self, capsys, tmp_path):
-        cfg = tmp_path / "prox.cfg"
-        cfg.write_text("json=true\nlambda1=1\n")
-        code, out, _ = run(capsys, "prox", "--lasso", "--vec", "3",
-                           "--config", str(cfg))
-        assert code == 0
-        assert json.loads(out)["x"] == [2.0]
-
-    def test_comments_and_blanks_ignored(self, capsys, tmp_path):
-        cfg = tmp_path / "prox.cfg"
-        cfg.write_text("# comment\n\nlambda1=0.5\n")
-        code, out, _ = run(capsys, "prox", "--lasso", "--vec", "1",
-                           "--config", str(cfg))
-        assert code == 0
-        assert out.splitlines()[0] == "0.5"
-
-    def test_bad_line_reports_location(self, capsys, tmp_path):
-        cfg = tmp_path / "prox.cfg"
-        cfg.write_text("lambda1\n")
-        code, _, err = run(capsys, "prox", "--lasso", "--vec", "1",
-                           "--config", str(cfg))
-        assert code == 2
-        assert "line 1" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["prox", "--lasso", "--vec", "1"],
-        ["synth", "--reps", "1", "--methods", "lasso", "--lambda-grid", "1"],
-        ["describe", "nope.csv"],
-    ], ids=["prox", "synth", "describe"])
-    def test_unknown_key_reports_location(self, capsys, tmp_path,
-                                          monkeypatch, argv):
-        # a key of another subcommand is refused before argparse or the
-        # subcommand runs
-        monkeypatch.chdir(tmp_path)
-        cfg = tmp_path / "a.cfg"
-        cfg.write_text("# defaults\njson=true\nscreen=5\n")
-        code, out, err = run(capsys, *argv, "--config", str(cfg))
-        assert (code, out) == (2, "")
-        assert err == (f"error: {cfg} line 3: unknown key 'screen': "
-                       f"sparcreg {argv[0]} has no --screen flag\n")
-        assert not (tmp_path / "report.csv").exists()
-
-    def test_nested_config_rejected(self, capsys, tmp_path):
-        # a config key named another file, which was never read
-        inner, outer = tmp_path / "inner.cfg", tmp_path / "outer.cfg"
-        inner.write_text("lambda1=2\n")
-        outer.write_text(f"# nested\nconfig={inner}\n")
-        code, out, err = run(capsys, "prox", "--lasso", "--vec", "3 0",
-                             "--config", str(outer))
-        assert (code, out) == (2, "")
-        assert err == (f"error: {outer} line 2: a config file cannot "
-                       f"name another\n")
-
-    def test_repeated_config_rejected(self, capsys, tmp_path):
-        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        a.write_text("seed=3\n")
-        b.write_text("seed=5\n")
-        for given in (["--config", str(a), "--config", str(b)],
-                      ["--config=" + str(a), "--config", str(b)]):
-            code, out, err = run(capsys, "synth", "--reps", "1",
-                                 "--methods", "lasso", "--lambda-grid", "1",
-                                 "--outdir", str(tmp_path), *given)
-            assert (code, out) == (2, "")
-            assert err == "error: --config given more than once\n"
-        assert not (tmp_path / "report.csv").exists()
-
     @pytest.mark.parametrize("flag", ["--conf", "--confi"])
     def test_option_prefix_rejected(self, capsys, tmp_path, flag):
-        # a prefix of --config used to parse as --config, and the file
-        # was never read
+        # there is no config file flag, and a prefix of the old --config
+        # must not parse as one
         cfg = tmp_path / "prox.cfg"
         cfg.write_text("lambda1=1\n")
         code, out, err = run(capsys, "prox", "--lasso", "--vec", "3 0",
                              flag, str(cfg))
         assert (code, out) == (2, "")
         assert f"unrecognized arguments: {flag} " in err
-
-    def test_missing_config_file(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "prox", "--lasso", "--vec", "1",
-                         "--config", str(tmp_path / "nope.cfg"))
-        assert code == 1
-
-    def test_undecodable_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "synth.cfg"
-        cfg.write_bytes(b"seed=\xff\xfe\n")
-        code, out, err = run(capsys, "synth", "--config", str(cfg))
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTopLevel:
@@ -799,6 +714,32 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["prox", "--lasso", "--lambda1", "1", "--vec", "1"],
+        ["synth", "--reps", "1", "--methods", "lasso", "--lambda-grid", "1"],
+        ["fit", "data.csv", "--label", "y", "--task", "regression",
+         "--method", "lasso"],
+        ["describe", "data.csv"],
+    ], ids=["prox", "synth", "fit", "describe"])
+    def test_config_flag_unrecognized(self, capsys, tmp_path, monkeypatch,
+                                      argv):
+        # flags come from the command line only
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.cfg").write_text("json=true\n")
+        code, out, err = run(capsys, *argv, "--config", "a.cfg")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --config a.cfg\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg"]
+
+    def test_option_prefix_rejected(self, capsys, tmp_path):
+        # a prefix must not pass for the flag it starts
+        code, out, err = run(capsys, "synth", "--rep", "1", "--methods",
+                             "lasso", "--lambda-grid", "1",
+                             "--outdir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --rep 1" in err
+        assert not (tmp_path / "report.csv").exists()
 
     def test_console_script_is_installed(self, tmp_path):
         # Build the wrapper an installer generates for the declared

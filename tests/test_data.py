@@ -90,6 +90,22 @@ class TestSyntheticRegression:
         with pytest.raises(ValueError):
             SyntheticSpec(n_train=0)
 
+    @pytest.mark.parametrize("spec", [SyntheticSpec, ClassificationSpec])
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None],
+                             ids=["negative", "fractional", "boolean", "none"])
+    def test_seed_refused_at_construction(self, spec, seed):
+        # numpy refused the first three only when the data was generated,
+        # and drew fresh entropy for None
+        with pytest.raises(ValueError, match=f"seed must be a non-negative "
+                                             f"integer, got {seed}"):
+            spec(seed=seed)
+
+    def test_integral_seed_stored_as_int(self):
+        spec = SyntheticSpec(seed=np.int64(7))
+        assert type(spec.seed) is int
+        npt.assert_array_equal(generate_synthetic(spec).A,
+                               generate_synthetic(SyntheticSpec(seed=7)).A)
+
 
 class TestSyntheticClassification:
     def test_shapes_labels_and_splits(self):
@@ -752,6 +768,13 @@ class TestSplitDataset:
             split_dataset(self._ds(10), (1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ValueError):
             split_dataset(self._ds(10), (0.5, 0.4, 0.2), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True],
+                             ids=["negative", "fractional", "boolean"])
+    def test_seed_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative "
+                                             f"integer, got {seed}"):
+            split_dataset(self._ds(10), (0.5, 0.3, 0.2), seed=seed)
 
 
 class TestColumnScaling:

@@ -263,6 +263,18 @@ class TestRunRepetitions:
         with pytest.raises(ValueError):
             run_repetitions(_tiny_spec(), GridSpec(), methods=("lasso",))
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True],
+                             ids=["negative", "fractional", "boolean"])
+    def test_master_seed_refused_before_solving(self, monkeypatch, seed):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the seed was checked")
+
+        monkeypatch.setattr(experiment, "sparsa_solve", solve)
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                                             "integer"):
+            run_repetitions(_tiny_spec(), _tiny_grids(), repetitions=2,
+                            master_seed=seed, methods=("lasso",))
+
     @pytest.mark.parametrize("methods, message", [
         (("lasso", "sparc", "lasso"), "method 'lasso' given twice"),
         ((), "no methods given"),

@@ -1,3 +1,6 @@
+import copy
+import importlib
+import json
 import re
 import subprocess
 import sys
@@ -12,6 +15,16 @@ TOOL = ROOT / "tools" / "fingerprints.py"
 def _run(*args):
     return subprocess.run([sys.executable, str(TOOL), *args],
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture
+def fingerprints(monkeypatch):
+    """tools/fingerprints.py as a module; the BLAS variables and the import
+    path it sets are restored afterwards."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", [str(TOOL.parent), *sys.path])
+    return importlib.import_module("fingerprints")
 
 
 class TestFingerprints:
@@ -41,6 +54,32 @@ class TestFingerprints:
         assert theirs == ours \
             and ours.startswith(f"{workload} seed={seed} tasks={tasks} ")
         assert not workdir.exists()
+
+    def test_default_seed_matches_the_reference(self, tmp_path):
+        out = _run("--workload", "synth-p40", "--seed", "0",
+                   "--workdir", str(tmp_path / "work"))
+        assert out.returncode == 0, out.stderr
+        assert re.fullmatch(r"synth-p40 seed=0 tasks=4 warnings=\d+ "
+                            r"sha256=[0-9a-f]{64} reference=ok\n", out.stdout)
+
+    def test_one_altered_selection_is_one_difference(self, fingerprints):
+        with open(ROOT / "bench" / "reference.json", encoding="utf-8") as fh:
+            ref = json.load(fh)
+        want = ref["workloads"]["synth-p40"]
+        views = copy.deepcopy(want)
+        assert fingerprints.reference_verdict(
+            views, want, ref["test_rtol"]) == "reference=ok"
+        views[2]["selected"][0]["lam1"] *= 2
+        head, diff = fingerprints.reference_verdict(
+            views, want, ref["test_rtol"]).splitlines()
+        assert head == "reference=1 largest_move=0"
+        assert diff.startswith("  task 2: selected [{'lam1': ")
+        # a test metric that moves by half is a second difference
+        views[2]["test_mse"][0] *= 1.5
+        head, *diffs = fingerprints.reference_verdict(
+            views, want, ref["test_rtol"]).splitlines()
+        assert (head, len(diffs)) == ("reference=2 largest_move=0.5", 2)
+        assert diffs[1].startswith("  task 2: test_mse ")
 
     @pytest.mark.parametrize("args, workdir, message", [
         (("--workload", "nope"), "new", "unknown workload"),

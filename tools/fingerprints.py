@@ -1,4 +1,4 @@
-"""Print the sha256 of the benchmark's pinned-task fingerprints.
+"""Print each benchmark workload's pinned-task sha256 and reference verdict.
 
 Runs each workload's pinned tasks, as ``bench/run.py`` does, against the
 sparcreg package under ``--src`` and prints one line per workload and
@@ -6,7 +6,15 @@ seed:
 
     <workload> seed=<seed> tasks=<n> warnings=<w> sha256=<hex>
 
-Two trees give the same line exactly when their pinned tasks give the
+At the reference's default seed (0), each line goes on with the verdict
+of ``bench/workloads.compare_reference`` on the pinned tasks' views
+(selected grid points and test metrics) against ``bench/reference.json``:
+``reference=ok``, or ``reference=<count> largest_move=<x>``, x being the
+largest relative move of a test metric, followed by each difference on
+its own indented line.  A change that moves pinned selections shows here
+which ones moved, and how far.
+
+Two trees give the same lines exactly when their pinned tasks give the
 same results, byte for byte, so a change that must keep every output
 byte is checked by running this once on each tree and comparing:
 
@@ -37,6 +45,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
 import shutil  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -45,6 +55,9 @@ import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS, compare_reference  # noqa: E402
 
 
 def parse_args(argv):
@@ -83,17 +96,42 @@ def import_library(src):
 
 
 def digest(cls, seed, workdir):
-    """(tasks, warnings, sha256) of the pinned tasks of one workload."""
+    """(tasks, warnings, sha256, views) of the pinned tasks of one
+    workload; each view is checked right after its task, as
+    ``bench/run.py`` does."""
     workdir.mkdir(parents=True)
+    fps, views = [], []
     try:
         wl = cls(seed, str(workdir))
         wl.setup()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fps = [wl.fingerprint(wl.task(k)) for k in range(wl.pinned_tasks)]
+            for k in range(wl.pinned_tasks):
+                outcome = wl.task(k)
+                fps.append(wl.fingerprint(outcome))
+                view = wl.check(outcome)[1]
+                if view is not None:
+                    views.append(view)
     finally:
         shutil.rmtree(workdir)
-    return len(fps), len(caught), hashlib.sha256(repr(fps).encode()).hexdigest()
+    sha = hashlib.sha256(repr(fps).encode()).hexdigest()
+    return len(fps), len(caught), sha, views
+
+
+def reference_verdict(views, want, rtol):
+    """``reference=ok``, or the count of differences between views and
+    the reference's views ``want`` and the largest relative move of a test
+    metric, then one indented line per difference."""
+    fails = compare_reference(views, want, rtol)
+    if not fails:
+        return "reference=ok"
+    moves = [abs(a - b) / abs(b) if b else (0.0 if a == b else math.inf)
+             for got, ref in zip(views, want)
+             for key, values in ref.items() if key != "selected"
+             for a, b in zip(got.get(key, ()), values)]
+    return "\n".join([f"reference={len(fails)} "
+                      f"largest_move={max(moves, default=0.0):.3g}"]
+                     + [f"  {msg}" for msg in fails])
 
 
 def run_against(args):
@@ -122,9 +160,8 @@ def main(argv=None):
         raise SystemExit(f"error: work directory {args.workdir} exists; "
                          f"remove it or pass another --workdir")
     import_library(args.src)
-    sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import WORKLOADS
-
+    with open(ROOT / "bench" / "reference.json", encoding="utf-8") as fh:
+        ref = json.load(fh)
     unknown = set(args.workload or ()) - set(WORKLOADS)
     if unknown:
         raise SystemExit(f"error: unknown workload(s) {sorted(unknown)}; "
@@ -136,10 +173,15 @@ def main(argv=None):
     ours = []
     for name in args.workload or sorted(WORKLOADS):
         for seed in args.seed or (0, 7919):
-            tasks, warned, sha = digest(WORKLOADS[name], seed, args.workdir)
-            ours.append(f"{name} seed={seed} tasks={tasks} "
-                        f"warnings={warned} sha256={sha}")
-            print(ours[-1], flush=True)
+            tasks, warned, sha, views = digest(WORKLOADS[name], seed,
+                                               args.workdir)
+            line = (f"{name} seed={seed} tasks={tasks} warnings={warned} "
+                    f"sha256={sha}")
+            if seed == ref["default_seed"]:
+                line += " " + reference_verdict(
+                    views, ref["workloads"].get(name, []), ref["test_rtol"])
+            ours += line.splitlines()
+            print(line, flush=True)
     if args.against is not None and ours != theirs:
         print(f"error: {args.src} and {args.against} differ",
               file=sys.stderr)

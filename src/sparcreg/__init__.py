@@ -8,8 +8,6 @@ generators, evaluation metrics, and grid-search benchmark pipelines.
 
 from .prox import (
     isotonic_decreasing,
-    owl_weights,
-    project_k_sparse,
     prox_elastic_net,
     prox_oscar,
     prox_sparc,
@@ -45,7 +43,6 @@ from .data import (
     generate_grouped_classification,
     generate_synthetic,
     load_csv,
-    normalize_columns,
     normalize_dataset,
     split_dataset,
     top_correlation_screen,
@@ -76,16 +73,15 @@ from .experiment import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "isotonic_decreasing", "owl_weights", "project_k_sparse",
-    "prox_elastic_net", "prox_oscar", "prox_sparc", "soft_threshold",
-    "top_k_support",
+    "isotonic_decreasing", "prox_elastic_net", "prox_oscar", "prox_sparc",
+    "soft_threshold", "top_k_support",
     "ElasticNet", "Lasso", "Oscar", "Regularizer", "Sparc",
     "penalty_value", "prox", "prox_objective",
     "Objective", "SolverConfig", "SolverDivergenceError", "SolverResult",
     "SolverStats", "bb_step", "gradient_smooth", "objective_value", "sparsa_solve",
     "ClassificationSpec", "DataError", "Dataset", "SyntheticSpec",
     "generate_grouped_classification", "generate_synthetic", "load_csv",
-    "normalize_columns", "normalize_dataset", "split_dataset",
+    "normalize_dataset", "split_dataset",
     "top_correlation_screen", "write_csv",
     "MetricsReport", "MetricUnavailableError", "cla", "compute_report",
     "dof", "mae", "mse", "nnz", "ser",

@@ -21,11 +21,11 @@ from __future__ import annotations
 import csv
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .prox import _as_vector, _check_count
+from .prox import _as_vector, _check_count, _check_nonneg
 
 __all__ = [
     "SPLIT_NAMES",
@@ -38,7 +38,6 @@ __all__ = [
     "load_csv",
     "write_csv",
     "split_dataset",
-    "normalize_columns",
     "normalize_dataset",
     "top_correlation_screen",
 ]
@@ -142,24 +141,30 @@ class Dataset:
         return _select_rows(self.A, rows), _select_rows(self.y, rows)
 
 
+# the count fields of the block design, each with its least value
+_COUNTS = {"n_groups": 1, "group_size": 1, "n_irrelevant": 0, "n_train": 1,
+           "n_validation": 1, "n_test": 1, "seed": 0}
+
+
 class _BlockDesign:
     """The block design both synthetic specs describe: ``n_groups`` groups
     of ``group_size`` columns, then ``n_irrelevant`` independent columns,
     over ``n_train`` + ``n_validation`` + ``n_test`` rows.  A plain class,
     so the dataclass fields stay those of each spec."""
 
-    def _check(self, noise, what):
-        """Raise ValueError unless the design is non-trivial, the noise
-        parameters (``what``, ``within_noise_var`` and ``noise``) are
-        non-negative, every split has a sample and the seed is an integer
-        >= 0, which is stored as an int."""
-        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
-        if min(self.n_groups, self.group_size) < 1 or self.n_irrelevant < 0:
-            raise ValueError("group structure must be non-trivial")
-        if self.within_noise_var < 0 or noise < 0:
-            raise ValueError(f"{what} must be >= 0")
-        if min(self.n_train, self.n_validation, self.n_test) < 1:
-            raise ValueError("every split needs at least one sample")
+    def __post_init__(self):
+        """Store each field as its check returns it, or raise ValueError
+        naming the field: the sizes as ints >= 1 (``n_irrelevant`` >= 0),
+        the seed as an int >= 0, ``signal`` as a finite float and the
+        noise levels as finite floats >= 0."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _COUNTS:
+                value = _check_count(value, f.name, _COUNTS[f.name])
+            else:
+                value = _check_nonneg(value, f.name,
+                                      signed=f.name == "signal")
+            object.__setattr__(self, f.name, value)
 
     @property
     def p(self):
@@ -192,9 +197,6 @@ class SyntheticSpec(_BlockDesign):
     n_test: int = 200
     seed: int = 0
 
-    def __post_init__(self):
-        self._check(self.observation_noise_var, "variances")
-
 
 @dataclass(frozen=True)
 class ClassificationSpec(_BlockDesign):
@@ -215,9 +217,6 @@ class ClassificationSpec(_BlockDesign):
     n_validation: int = 90
     n_test: int = 60
     seed: int = 0
-
-    def __post_init__(self):
-        self._check(self.margin_noise_sd, "noise parameters")
 
 
 def _split_labels(n_train, n_validation, n_test):
@@ -626,10 +625,9 @@ def _column_norms(T):
 
 
 def _train_scales(A, train_rows, feature_names):
-    """Column norms of A on the training rows; raises unless all are
-    finite and nonzero."""
-    T = (A if train_rows is None
-         else _select_rows(A, _row_index(train_rows, A.shape[0])))
+    """Column norms of A on the training rows, a boolean mask; raises
+    unless all are finite and nonzero."""
+    T = _select_rows(A, _row_index(train_rows, A.shape[0]))
     if T.shape[0] == 0:
         raise ValueError("no training rows to compute norms from")
     scales = _column_norms(T)
@@ -645,20 +643,6 @@ def _train_scales(A, train_rows, feature_names):
     return scales
 
 
-def normalize_columns(A, train_rows=None, feature_names=None):
-    """Scale columns to unit Euclidean norm measured on the training rows.
-
-    Returns (scaled matrix, scale vector); dividing fitted coefficients by
-    the scales maps them back to the raw feature units.  train_rows is a
-    boolean mask or index array; None uses every row.  Norms are computed
-    without overflow or underflow; a column that is zero on the training
-    rows, or whose norm exceeds the float range, raises ValueError.
-    """
-    A = _as_design(A)
-    scales = _train_scales(A, train_rows, feature_names)
-    return A / scales, scales
-
-
 def normalize_dataset(ds):
     """Scale a split dataset's columns to unit norm on its training rows.
 
@@ -668,9 +652,10 @@ def normalize_dataset(ds):
     that is zero on the training rows, or whose norm exceeds the float
     range, raises ValueError naming it.
     """
-    A, scales = normalize_columns(ds.A, ds.mask("train"), ds.feature_names)
+    scales = _train_scales(ds.A, ds.mask("train"), ds.feature_names)
     x_true = None if ds.x_true is None else ds.x_true * scales
-    out = Dataset(A, ds.y, ds.task, x_true, ds.split, ds.feature_names)
+    out = Dataset(ds.A / scales, ds.y, ds.task, x_true, ds.split,
+                  ds.feature_names)
     return out, scales
 
 

@@ -80,19 +80,22 @@ def _require_truth(x_true):
     return _as_vector(x_true, "x_true")
 
 
-def mae(A_test, x_true, e):
-    """Sum of absolute prediction differences ||A (x* - e)||_1."""
+def _errors(A_test, x_true, e):
+    """(MAE, MSE) from one product r = A (x* - e): ||r||_1 and ||r||_2^2."""
     x_true = _require_truth(x_true)
     e = _as_vector(e, "e", x_true.size)
-    return float(np.abs(A_test @ (x_true - e)).sum())
+    r = A_test @ (x_true - e)
+    return float(np.abs(r).sum()), float(r @ r)
+
+
+def mae(A_test, x_true, e):
+    """Sum of absolute prediction differences ||A (x* - e)||_1."""
+    return _errors(A_test, x_true, e)[0]
 
 
 def mse(A_test, x_true, e):
     """Sum of squared prediction differences ||A (x* - e)||_2^2."""
-    x_true = _require_truth(x_true)
-    e = _as_vector(e, "e", x_true.size)
-    r = A_test @ (x_true - e)
-    return float(r @ r)
+    return _errors(A_test, x_true, e)[1]
 
 
 def ser(x_true, e):
@@ -149,7 +152,6 @@ def compute_report(ds, e):
         vals["CLA"] = cla(A_test, y_test, e)
     else:
         if ds.x_true is not None:
-            vals["MAE"] = mae(A_test, ds.x_true, e)
-            vals["MSE"] = mse(A_test, ds.x_true, e)
+            vals["MAE"], vals["MSE"] = _errors(A_test, ds.x_true, e)
             vals["SER"] = ser(ds.x_true, e)
     return MetricsReport(**vals)

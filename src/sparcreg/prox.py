@@ -3,7 +3,7 @@
 Building blocks shared by the LASSO, elastic net, OSCAR and SPARC penalties:
 componentwise soft thresholding, the ordered weight sequence of the pairwise
 max penalty, Euclidean projection onto the non-increasing cone
-(pool-adjacent-violators), hard K-sparse projection, and the exact
+(pool-adjacent-violators), the K largest magnitudes, and the exact
 sort / shrink / pool proximity operators assembled from them.
 
 Every function is pure and operates on 1-D float arrays.  The public
@@ -23,11 +23,9 @@ import numpy as np
 __all__ = [
     "soft_threshold",
     "prox_elastic_net",
-    "owl_weights",
     "isotonic_decreasing",
     "prox_oscar",
     "top_k_support",
-    "project_k_sparse",
     "prox_sparc",
 ]
 
@@ -56,14 +54,15 @@ def _as_vector(v, name="v", size=None):
     return arr
 
 
-def _check_nonneg(value, name):
-    """float(value) for a finite value >= 0 that is not a boolean;
-    anything else raises."""
+def _check_nonneg(value, name, signed=False):
+    """float(value) for a finite value that is not a boolean and, unless
+    ``signed``, is >= 0; anything else raises."""
     if not isinstance(value, (bool, np.bool_)):
         value = float(value)
-        if math.isfinite(value) and value >= 0:
+        if math.isfinite(value) and (signed or value >= 0):
             return value
-    raise ValueError(f"{name} must be finite and non-negative, got {value}")
+    kind = "finite" if signed else "finite and non-negative"
+    raise ValueError(f"{name} must be {kind}, got {value}")
 
 
 def _check_count(value, name, least=1):
@@ -105,29 +104,15 @@ def prox_elastic_net(v, lam1, lam2):
 
 
 def _owl(lam1, lam2, d, head=None):
-    # the first ``head`` (default all d) of the d weights, built in place:
+    # the first ``head`` (default all d) of the d per-rank weights
+    # w_k = lam1 + lam2 * (d - k) that linearize the pairwise max: the k-th
+    # largest magnitude is the max of d - k pairs.  Built in place, with
     # the bits of lam1 + lam2 * arange
     stop = -1 if head is None else d - 1 - head
     w = np.arange(d - 1, stop, -1, dtype=float)
     w *= lam2
     w += lam1
     return w
-
-
-def owl_weights(lam1, lam2, d):
-    """Per-rank weights that linearize the pairwise-max penalty.
-
-    In descending magnitude order the k-th largest entry (k = 1..d) is the
-    maximum in exactly (d - k) of the pairs, so
-
-        lam1*||x||_1 + lam2*sum_{i<j} max(|x_i|, |x_j|)
-            = sum_k (lam1 + lam2*(d - k)) * |x|_[k].
-
-    Returns the non-increasing weight vector w_k = lam1 + lam2*(d - k).
-    """
-    lam1 = _check_nonneg(lam1, "lam1")
-    lam2 = _check_nonneg(lam2, "lam2")
-    return _owl(lam1, lam2, _check_count(d, "d"))
 
 
 def _pava(u):
@@ -257,15 +242,6 @@ def top_k_support(v, k):
     """Indices (ascending) of the k largest entries of |v|; ties keep lower index."""
     v = _as_vector(v)
     return _top_k(np.abs(v), _check_k(k, v.size))
-
-
-def project_k_sparse(v, k):
-    """Keep the k largest-magnitude entries of v, zero the rest."""
-    v = _as_vector(v)
-    idx = _top_k(np.abs(v), _check_k(k, v.size))
-    out = np.zeros(v.size)
-    out[idx] = v[idx]
-    return out
 
 
 def _prox_terms(v, l1, slope, ridge, k, d=None):

@@ -30,7 +30,7 @@ operator of ``penalty / alpha``: the weights divide by alpha, k stays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,14 @@ class Regularizer:
 
     method = ""
 
+    def __post_init__(self):
+        # a cap k is a count, every other field a weight; each is stored
+        # as its check returns it, an int or a float
+        for f in fields(self):
+            check = _check_count if f.name == "k" else _check_nonneg
+            object.__setattr__(self, f.name,
+                               check(getattr(self, f.name), f.name))
+
     def terms(self):
         """(l1 weight, slope, ridge, top-k); None marks an absent term."""
         raise NotImplementedError
@@ -73,9 +81,6 @@ class Regularizer:
 class Lasso(Regularizer):
     method = "lasso"
     lam1: float
-
-    def __post_init__(self):
-        _check_nonneg(self.lam1, "lam1")
 
     def terms(self):
         return self.lam1, None, None, None
@@ -87,10 +92,6 @@ class ElasticNet(Regularizer):
     lam1: float
     lam2: float
 
-    def __post_init__(self):
-        _check_nonneg(self.lam1, "lam1")
-        _check_nonneg(self.lam2, "lam2")
-
     def terms(self):
         return self.lam1, None, self.lam2, None
 
@@ -101,10 +102,6 @@ class Oscar(Regularizer):
     lam1: float
     lam2: float
 
-    def __post_init__(self):
-        _check_nonneg(self.lam1, "lam1")
-        _check_nonneg(self.lam2, "lam2")
-
     def terms(self):
         return self.lam1, self.lam2, None, None
 
@@ -114,10 +111,6 @@ class Sparc(Regularizer):
     method = "sparc"
     lam: float
     k: int
-
-    def __post_init__(self):
-        _check_nonneg(self.lam, "lam")
-        object.__setattr__(self, "k", _check_count(self.k, "k"))
 
     def terms(self):
         return 0.0, self.lam, None, self.k

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import _as_design, _row_index, _select_rows
-from .prox import _as_vector, _check_count, _check_k, project_k_sparse
+from .prox import _as_vector, _check_count, _check_k, _top_k
 from .regularizers import _penalty, _price, _terms, _weights, prox
 
 __all__ = [
@@ -162,6 +162,7 @@ class SolverConfig:
                            _check_count(self.max_outer, "max_outer"))
         if type(self.tol) in (bool, np.bool_) or not 0 < self.tol < math.inf:
             raise ValueError(f"tol must lie in (0, inf), got {self.tol}")
+        object.__setattr__(self, "tol", float(self.tol))
 
 
 @dataclass
@@ -397,15 +398,19 @@ class _Solve:
 
 
 def _initial_point(obj, x0):
+    p = obj.A.shape[1]
     if x0 is None:
-        x = np.zeros(obj.A.shape[1])
-    else:
-        x = _as_vector(x0, "x0", obj.A.shape[1]).copy()
+        return np.zeros(p)
+    x = _as_vector(x0, "x0", p)
     k = _terms(obj.reg)[3]
-    if k is not None:
-        # the penalty is +inf off the k-sparse set; start feasible
-        x = project_k_sparse(x, k)
-    return x
+    if k is None:
+        return x.copy()
+    # the penalty is +inf off the k-sparse set; start feasible, on the k
+    # largest magnitudes
+    keep = _top_k(np.abs(x), k)
+    out = np.zeros(p)
+    out[keep] = x[keep]
+    return out
 
 
 def sparsa_solve(obj, x0=None, config=None):

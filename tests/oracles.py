@@ -14,13 +14,20 @@ import numpy as np
 
 from sparcreg.data import SPLIT_NAMES, DataError, Dataset
 from sparcreg.prox import (
-    owl_weights,
     prox_elastic_net,
     prox_oscar,
     prox_sparc,
     soft_threshold,
 )
 from sparcreg.regularizers import ElasticNet, Lasso, Oscar, Sparc
+
+
+def owl_weights_direct(lam1, lam2, d):
+    """The d per-rank weights lam1 + lam2 * (d - k), k = 1..d: in
+    descending magnitude order the k-th largest entry is the max in
+    exactly d - k of the pairs."""
+    return np.array([lam1 + lam2 * (d - k) for k in range(1, d + 1)],
+                    dtype=float)
 
 
 def lasso_penalty_direct(z, lam1):
@@ -273,13 +280,13 @@ def penalty_per_class(reg, x):
         return float(reg.lam1 * np.abs(x).sum() + 0.5 * reg.lam2 * (x @ x))
     if isinstance(reg, Oscar):
         mags = np.sort(np.abs(x))[::-1]
-        return float(owl_weights(reg.lam1, reg.lam2, x.size) @ mags)
+        return float(owl_weights_direct(reg.lam1, reg.lam2, x.size) @ mags)
     if isinstance(reg, Sparc):
         k = reg.k
         if np.count_nonzero(x) > k:
             return float("inf")
         mags = np.sort(np.abs(x))[::-1][:k]
-        return float(owl_weights(0.0, reg.lam, k) @ mags)
+        return float(owl_weights_direct(0.0, reg.lam, k) @ mags)
     raise TypeError(reg)
 
 

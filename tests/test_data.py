@@ -18,7 +18,6 @@ from sparcreg.data import (
     generate_grouped_classification,
     generate_synthetic,
     load_csv,
-    normalize_columns,
     normalize_dataset,
     split_dataset,
     top_correlation_screen,
@@ -99,6 +98,35 @@ class TestSyntheticRegression:
         with pytest.raises(ValueError, match=f"seed must be a non-negative "
                                              f"integer, got {seed}"):
             spec(seed=seed)
+
+    @pytest.mark.parametrize("spec", [SyntheticSpec, ClassificationSpec])
+    @pytest.mark.parametrize("field, value", [
+        ("n_train", 2.5), ("n_irrelevant", 1.5), ("group_size", True),
+        ("n_test", True), ("within_noise_var", np.nan),
+        ("within_noise_var", np.inf), ("noise", np.nan), ("noise", np.inf),
+        ("signal", np.nan),
+    ], ids=["fractional-size", "fractional-n_irrelevant", "boolean-size",
+            "boolean-n_test", "nan-within", "inf-within", "nan-noise",
+            "inf-noise", "nan-signal"])
+    def test_field_refused_at_construction(self, spec, field, value):
+        # numpy refused the fractions only when the data was generated, a
+        # flag was read as the size 1 and a non-finite noise level first
+        # showed as a non-finite response
+        if field == "noise":
+            field = ("observation_noise_var" if spec is SyntheticSpec
+                     else "margin_noise_sd")
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            spec(**{field: value})
+
+    def test_integral_size_stored_as_int(self):
+        spec = SyntheticSpec(n_groups=2.0, n_train=np.int64(20),
+                             signal=np.float32(2.5))
+        assert (type(spec.n_groups), type(spec.n_train)) == (int, int)
+        assert type(spec.signal) is float
+        a = generate_synthetic(spec)
+        b = generate_synthetic(SyntheticSpec(n_groups=2, signal=2.5))
+        assert a.A.tobytes() == b.A.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
 
     def test_integral_seed_stored_as_int(self):
         spec = SyntheticSpec(seed=np.int64(7))
@@ -777,23 +805,33 @@ class TestSplitDataset:
             split_dataset(self._ds(10), (0.5, 0.3, 0.2), seed=seed)
 
 
+def _scaled(A, train=None, names=None):
+    """normalize_dataset of a regression dataset of design A whose training
+    rows are the mask ``train`` (default every row); (scaled A, scales)."""
+    A = np.asarray(A, dtype=float)
+    train = np.ones(A.shape[0], bool) if train is None else np.asarray(train)
+    ds = Dataset(A, np.zeros(A.shape[0]), "regression",
+                 split=np.where(train, "train", "test"), feature_names=names)
+    scaled, scales = normalize_dataset(ds)
+    return scaled.A, scales
+
+
 class TestColumnScaling:
     def test_unit_norm_example(self):
-        A = np.array([[3.0], [4.0]])
-        scaled, scales = normalize_columns(A)
+        scaled, scales = _scaled([[3.0], [4.0]])
         npt.assert_allclose(scaled[:, 0], [0.6, 0.8])
         npt.assert_allclose(scales, [5.0])
 
     def test_train_rows_set_the_scale(self):
-        A = np.array([[3.0], [4.0], [100.0]])
-        scaled, scales = normalize_columns(A, train_rows=np.array([0, 1]))
+        scaled, scales = _scaled([[3.0], [4.0], [100.0]],
+                                 train=[True, True, False])
         npt.assert_allclose(scales, [5.0])
         npt.assert_allclose(scaled[2, 0], 20.0)
 
     def test_zero_column_error_names_column(self):
         A = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="'x2'"):
-            normalize_columns(A, feature_names=("x1", "x2"))
+            _scaled(A, names=("x1", "x2"))
 
     @pytest.mark.parametrize("tiny", [False, True])
     def test_norms_neither_overflow_nor_underflow(self, tiny):
@@ -801,7 +839,7 @@ class TestColumnScaling:
         A = np.array([[1.0 * e, 1.0], [2.0 * e, 3.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scaled, scales = normalize_columns(A)
+            scaled, scales = _scaled(A)
         npt.assert_allclose(scales, [np.sqrt(5.0) * e, np.sqrt(10.0)],
                             rtol=1e-15)
         npt.assert_allclose(scaled[:, 0], [1 / np.sqrt(5), 2 / np.sqrt(5)],
@@ -812,22 +850,25 @@ class TestColumnScaling:
     def test_norm_beyond_float_range_rejected(self):
         A = np.array([[1.5e308, 1.0], [1.5e308, 2.0]])
         with pytest.raises(ValueError, match="'big' has a norm beyond"):
-            normalize_columns(A, feature_names=("big", "ok"))
+            _scaled(A, names=("big", "ok"))
 
     def test_row_selection_errors_kept(self):
-        A = np.ones((3, 2))
-        with pytest.raises(IndexError):
-            normalize_columns(A, train_rows=np.array([True, True]))
-        with pytest.raises(IndexError):
-            normalize_columns(A, train_rows=np.array([1, 2, 3]))
+        # the split labels name the training rows; a split that names none
+        # is refused
+        with pytest.raises(ValueError, match="no training rows"):
+            _scaled(np.ones((3, 2)), train=[False, False, False])
 
-    @pytest.mark.parametrize("rows", [[1, 2], [2, 1], [-2, -1], [0, 2],
-                                      [True, False, True],
-                                      [False, True, True]])
+    @pytest.mark.parametrize("rows", [[False, True, True, False],
+                                      [True, False, True, False],
+                                      [True, True, True, True],
+                                      [False, False, False, True],
+                                      [True, False, False, True],
+                                      [False, True, False, True]])
     def test_row_selections_match_indexing(self, rows):
-        A = np.array([[3.0, 1.0], [4.0, 2.0], [12.0, 2.0]])
+        # one block of rows is read as a view, any other selection copied
+        A = np.array([[3.0, 1.0], [4.0, 2.0], [12.0, 2.0], [5.0, 7.0]])
         T = A[np.asarray(rows)]
-        scaled, scales = normalize_columns(A, train_rows=rows)
+        scaled, scales = _scaled(A, train=rows)
         assert scales.tobytes() == np.sqrt((T * T).sum(axis=0)).tobytes()
         assert scaled.tobytes() == (A / scales).tobytes()
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,20 @@ class TestReportArtifacts:
         bad.write_text(json.dumps(blob))
         with pytest.raises(ValueError):
             load_report(bad)
+
+    @pytest.mark.parametrize("spec, lam, config", [
+        (_tiny_spec(), np.float32(0.1), None),
+        (replace(_tiny_spec(), signal=np.float32(2.5)), 0.1, None),
+        (_tiny_spec(), 0.1, SolverConfig(tol=np.float32(1e-5))),
+    ], ids=["float32-grid", "float32-signal", "float32-tol"])
+    def test_numpy_scalars_give_a_readable_report(self, tmp_path, spec, lam,
+                                                  config):
+        # a numpy scalar kept as given stopped json.dump halfway through
+        # report.json, after every solve
+        report = run_repetitions(spec, GridSpec(lasso=(Lasso(lam),)),
+                                 config, repetitions=1, methods=["lasso"])
+        _, json_path, _ = emit_table(report, tmp_path)
+        assert load_report(json_path) == report
 
     @pytest.mark.parametrize("blob, message", [
         ([1, 2], "report is not a JSON object"),

@@ -8,8 +8,6 @@ from sparcreg.prox import (
     _pava,
     _prox_terms,
     isotonic_decreasing,
-    owl_weights,
-    project_k_sparse,
     prox_elastic_net,
     prox_oscar,
     prox_sparc,
@@ -29,6 +27,7 @@ from sparcreg.solver import Objective, SolverConfig, bb_step, \
 from oracles import (
     SortedMagnitudeView,
     isotonic_decreasing_bruteforce,
+    owl_weights_direct,
     pava_elementwise,
 )
 
@@ -66,14 +65,25 @@ class TestElasticNet:
 
 
 class TestOwlWeights:
+    """``_owl`` against the literal weights lam1 + lam2 * (d - k)."""
+
+    @staticmethod
+    def _check(lam1, lam2, d, expected):
+        direct = owl_weights_direct(lam1, lam2, d)
+        npt.assert_array_equal(direct, expected)
+        assert _owl(lam1, lam2, d).tobytes() == direct.tobytes()
+        for head in range(d + 1):
+            assert (_owl(lam1, lam2, d, head).tobytes()
+                    == direct[:head].tobytes())
+
     def test_worked_example(self):
-        npt.assert_allclose(owl_weights(2.0, 3.0, 3), [8.0, 5.0, 2.0])
+        self._check(2.0, 3.0, 3, [8.0, 5.0, 2.0])
 
     def test_single_coordinate_has_no_pairs(self):
-        npt.assert_allclose(owl_weights(1.5, 9.0, 1), [1.5])
+        self._check(1.5, 9.0, 1, [1.5])
 
     def test_zero_pair_weight_is_flat(self):
-        npt.assert_allclose(owl_weights(0.5, 0.0, 4), np.full(4, 0.5))
+        self._check(0.5, 0.0, 4, np.full(4, 0.5))
 
 
 class TestIsotonicDecreasing:
@@ -214,7 +224,8 @@ class TestPavaKernel:
 def _prox_oscar_full_pava(v, lam1, lam2):
     """prox_oscar with PAVA run over every sorted rank."""
     view = SortedMagnitudeView.from_vector(v)
-    u = view.magnitudes - owl_weights(lam1, lam2, view.magnitudes.size)
+    u = view.magnitudes - owl_weights_direct(lam1, lam2,
+                                             view.magnitudes.size)
     return view.reconstruct(np.maximum(isotonic_decreasing(u), 0.0))
 
 
@@ -336,13 +347,15 @@ class TestTopKSupport:
 
 
 class TestProjectKSparse:
+    """The k-sparse projection is the prox of ``Sparc(0.0, k)``."""
+
     def test_keeps_largest(self):
-        npt.assert_array_equal(project_k_sparse([1.0, -5.0, 3.0], 2),
+        npt.assert_array_equal(prox(Sparc(0.0, 2), [1.0, -5.0, 3.0]),
                                [0.0, -5.0, 3.0])
 
     def test_k_equals_length_is_identity(self):
         v = np.array([0.1, -0.2])
-        npt.assert_array_equal(project_k_sparse(v, 2), v)
+        npt.assert_array_equal(prox(Sparc(0.0, 2), v), v)
 
 
 class TestProxSparc:
@@ -370,8 +383,7 @@ class TestProxSparc:
 
     def test_zero_penalty_is_hard_thresholding(self):
         v = np.array([4.0, -1.0, 2.5, 0.3])
-        npt.assert_array_equal(prox_sparc(v, 0.0, 2),
-                               project_k_sparse(v, 2))
+        npt.assert_array_equal(prox_sparc(v, 0.0, 2), [4.0, 0.0, 2.5, 0.0])
 
     def test_large_p_penalty_prox_matches_full_pava(self):
         # fewer nonzeros than k, so the cap's support holds exact zeros
@@ -512,15 +524,19 @@ class TestInputValidation:
 _TINY = SyntheticSpec(n_train=6, n_validation=3, n_test=4, n_irrelevant=2)
 
 # every count of the library, as (name, function of the count that
-# returns the count it kept)
+# returns the count it kept); "project_k_sparse" is the k-sparse
+# projection prox(Sparc(0.0, k), v), and "owl_weights.d" the length d of
+# the OWL weights, which prox takes
 _COUNTS = {
     "Sparc.k": lambda k: Sparc(0.1, k).k,
     "prox_sparc": lambda k: int(np.count_nonzero(
         prox_sparc([5.0, 4.0, 3.0, 2.0, 1.0], 0.1, k))),
     "top_k_support": lambda k: top_k_support([3.0, 2.0, 1.0, 0.5], k).size,
     "project_k_sparse": lambda k: int(np.count_nonzero(
-        project_k_sparse([3.0, 2.0, 1.0, 0.5], k))),
-    "owl_weights.d": lambda d: owl_weights(0.1, 0.2, d).size,
+        prox(Sparc(0.0, k), [3.0, 2.0, 1.0, 0.5]))),
+    # the first of the d weights is d - 1, so the prox of 10 is 11 - d
+    "owl_weights.d": lambda d: int(11.0 - prox(Oscar(0.0, 1.0), [10.0],
+                                               d=d)[0]),
     "default_grids.k_grid": lambda k: default_grids(
         10, k_grid=[k]).sparc[0].k,
     "SolverConfig.max_outer": lambda k: SolverConfig(max_outer=k).max_outer,

@@ -25,6 +25,16 @@ from oracles import (
 )
 
 
+# every penalty weight, as (build a member with weight w, the field's name)
+_WEIGHTS = {
+    "lasso": (lambda w: Lasso(w), "lam1"),
+    "enet-lam2": (lambda w: ElasticNet(0.5, w), "lam2"),
+    "oscar-lam1": (lambda w: Oscar(w, 0.1), "lam1"),
+    "oscar-lam2": (lambda w: Oscar(0.5, w), "lam2"),
+    "sparc": (lambda w: Sparc(w, 2), "lam"),
+}
+
+
 class TestConstruction:
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -38,18 +48,22 @@ class TestConstruction:
 
     @pytest.mark.parametrize("flag", [True, np.True_],
                              ids=["bool", "numpy-bool"])
-    @pytest.mark.parametrize("build, name", [
-        (lambda w: Lasso(w), "lam1"),
-        (lambda w: ElasticNet(0.5, w), "lam2"),
-        (lambda w: Oscar(w, 0.1), "lam1"),
-        (lambda w: Oscar(0.5, w), "lam2"),
-        (lambda w: Sparc(w, 2), "lam"),
-    ], ids=["lasso", "enet-lam2", "oscar-lam1", "oscar-lam2", "sparc"])
+    @pytest.mark.parametrize("build, name", _WEIGHTS.values(),
+                             ids=_WEIGHTS.keys())
     def test_boolean_weight_rejected(self, build, name, flag):
         # True == 1, but a flag is not a penalty weight
         with pytest.raises(ValueError, match=f"^{name} must be finite and "
                                              f"non-negative, got True$"):
             build(flag)
+
+    @pytest.mark.parametrize("value", [np.float32(0.1), 1, np.int64(2)],
+                             ids=["float32", "int", "int64"])
+    @pytest.mark.parametrize("build, name", _WEIGHTS.values(),
+                             ids=_WEIGHTS.keys())
+    def test_weight_stored_as_float(self, build, name, value):
+        # a numpy scalar kept as given reached json.dump in the report
+        kept = getattr(build(value), name)
+        assert type(kept) is float and kept == float(value)
 
     def test_frozen(self):
         reg = Lasso(1.0)

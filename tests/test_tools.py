@@ -1,6 +1,8 @@
 import copy
 import importlib
+import importlib.util
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import sparcreg
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "fingerprints.py"
+MODULES = ["sparcreg"] + [f"sparcreg.{m.name}"
+                          for m in pkgutil.iter_modules(sparcreg.__path__)]
 
 
 def _run(*args):
@@ -25,6 +31,25 @@ def fingerprints(monkeypatch):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", [str(TOOL.parent), *sys.path])
     return importlib.import_module("fingerprints")
+
+
+class TestExports:
+    @pytest.mark.parametrize("module", MODULES)
+    def test_every_exported_name_resolves(self, module):
+        mod = importlib.import_module(module)
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+    def test_every_traced_function_exists(self):
+        # bench/tracer.py patches these by name; one that is gone would
+        # fail only when a traced benchmark runs
+        spec = importlib.util.spec_from_file_location(
+            "tracer", ROOT / "bench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [f"{home}.{attr}" for _, home, attr, _, _ in tracer.TARGETS
+                   if not callable(getattr(importlib.import_module(
+                       f"sparcreg.{home}"), attr, None))]
+        assert missing == []
 
 
 class TestFingerprints:
